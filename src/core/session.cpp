@@ -193,22 +193,14 @@ SyrkRun syrk(Session& session, const SyrkRequest& req) {
   if (req.trace) world.enable_tracing();
   if (req.verify) world.enable_verify();
   const comm::CostLedger::Snapshot before = world.ledger().snapshot();
-  const std::uint64_t exec_n1 = plan.exec_n1(a.rows());
-  const Matrix* exec_a = &a;
-  Matrix a_pad;
-  if (exec_n1 != a.rows()) {
-    a_pad = internal::pad_rows(a, exec_n1);
-    exec_a = &a_pad;
-  }
-  Matrix c_exec(exec_n1, exec_n1);
+  internal::ExecBuffers exec(a, plan);
   const int active_ranks = static_cast<int>(plan.logical_ranks());
   if (active_ranks == world.size()) {
     // Full-size plan (and every folded plan — the folded world is sized to
     // the logical grid exactly): run directly on the world communicator (no
     // per-job split on the hot path).
     world.run([&](comm::Comm& wc) {
-      internal::run_syrk_plan_rank(wc, exec_a->view(), plan, exec_opts,
-                                   c_exec);
+      internal::run_syrk_plan_rank(wc, exec.a(), plan, exec_opts, exec.c());
     });
   } else {
     world.run([&](comm::Comm& wc) {
@@ -218,14 +210,13 @@ SyrkRun syrk(Session& session, const SyrkRequest& req) {
       // plan.procs ranks); idle ranks then sit the job out.
       comm::Comm sub = wc.split(active ? 0 : 1, wc.rank());
       if (!active) return;
-      internal::run_syrk_plan_rank(sub, exec_a->view(), plan, exec_opts,
-                                   c_exec);
+      internal::run_syrk_plan_rank(sub, exec.a(), plan, exec_opts, exec.c());
     });
   }
 
   SyrkRun run;
   run.plan = plan;
-  run.c = internal::truncate_result(std::move(c_exec), a.rows());
+  run.c = exec.take_result();
   const comm::CostLedger& ledger = world.ledger();
   run.total = ledger.summary_since(before);
   run.gather_a = ledger.summary_since(before, internal::kPhaseGatherA);

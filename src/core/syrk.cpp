@@ -78,15 +78,31 @@ void run_1d_rank(comm::Comm& comm, const ConstMatrixView& a,
   scatter_packed_to_full(chunk, c_full);
 }
 
-/// Alg. 2 per-rank driver.
+/// Alg. 2 per-rank driver. C has no reduction — every output block has
+/// exactly one owner — so the owner runs its kernels straight into the
+/// block's place in `c_full` and mirrors the block into the upper triangle.
+/// `c_full` arrives uninitialised and the kernels accumulate, so each block
+/// is zero-filled by its owner just before its kernel: page faults and
+/// zeroing run in parallel on the owning ranks.
 void run_2d_rank(comm::Comm& comm, const ConstMatrixView& a,
                  const Plan& plan, const SyrkOptions& opts, Matrix& c_full) {
   dist::TriangleBlockDistribution d(plan.c);
+  const auto k = static_cast<std::uint64_t>(comm.rank());
+  const AssembledRowBlocks rb =
+      syrk_2d_gather(comm, d, a, opts.exchange, opts.pipeline_chunks);
   const std::size_t nb = a.rows() / d.num_block_rows();
-  TriangleBlocks blocks =
-      syrk_2d_spmd(comm, d, a, opts.exchange, opts.pipeline_chunks);
-  auto flat = flatten_triangle_blocks(blocks);
-  scatter_flat_to_full(blocks, flat, 0, nb, c_full);
+  for (const auto& [bi, bj] : d.owned_pairs(k)) {
+    const MatrixView cij = c_full.block(bi * nb, bj * nb, nb, nb);
+    cij.fill(0.0);
+    gemm_nt(rb.block_of(bi).view(), rb.block_of(bj).view(), cij);
+    transpose_into(cij, c_full.block(bj * nb, bi * nb, nb, nb));
+  }
+  if (const auto di = d.diagonal_block(k)) {
+    const MatrixView cii = c_full.block(*di * nb, *di * nb, nb, nb);
+    cii.fill(0.0);
+    syrk_lower(rb.block_of(*di).view(), cii);
+    symmetrize_from_lower(cii);
+  }
 }
 
 /// Alg. 3 per-rank driver.
@@ -255,12 +271,18 @@ Matrix pad_rows(const Matrix& a, std::uint64_t rows) {
   return padded;
 }
 
-Matrix truncate_result(Matrix c_exec, std::uint64_t n1) {
-  if (c_exec.rows() == n1) return c_exec;
-  Matrix c(n1, n1);
-  for (std::size_t i = 0; i < n1; ++i) {
-    for (std::size_t j = 0; j < n1; ++j) c(i, j) = c_exec(i, j);
-  }
+ExecBuffers::ExecBuffers(const Matrix& a, const Plan& plan) : a_(&a) {
+  const std::uint64_t exec_n1 = plan.exec_n1(a.rows());
+  padded_ = exec_n1 != a.rows();
+  if (padded_) a_pad_ = pad_rows(a, exec_n1);
+  c_ = Matrix::uninitialized(exec_n1, exec_n1);
+}
+
+Matrix ExecBuffers::take_result() {
+  const std::size_t n1 = a_->rows();
+  if (!padded_) return std::move(c_);
+  Matrix c = Matrix::uninitialized(n1, n1);
+  c.view().assign(c_.block(0, 0, n1, n1));
   return c;
 }
 
@@ -288,18 +310,11 @@ Matrix run_syrk_plan(comm::World& world, const Matrix& a, const Plan& plan,
                         opts.exchange == ExchangeKind::kPairwise,
                     "pipelined execution supports pairwise collectives only");
   }
-  const std::uint64_t exec_n1 = plan.exec_n1(a.rows());
-  const Matrix* exec_a = &a;
-  Matrix padded;
-  if (exec_n1 != a.rows()) {
-    padded = pad_rows(a, exec_n1);
-    exec_a = &padded;
-  }
-  Matrix c_exec(exec_n1, exec_n1);
+  ExecBuffers exec(a, plan);
   world.run([&](comm::Comm& comm) {
-    run_syrk_plan_rank(comm, exec_a->view(), plan, opts, c_exec);
+    run_syrk_plan_rank(comm, exec.a(), plan, opts, exec.c());
   });
-  return truncate_result(std::move(c_exec), a.rows());
+  return exec.take_result();
 }
 
 }  // namespace internal

@@ -11,10 +11,12 @@
 // default to the §5.4 planner; explicit algorithm/grid, root-held input,
 // and memory-aware planning are selected on the request.
 //
-// The returned matrix is the full symmetric C = A·Aᵀ, reassembled from the
-// distributed owners for convenience and validation; reassembly happens via
-// shared memory after the algorithm completes and is NOT counted as
-// communication. The run (and the world's ledger) holds the per-rank
+// The returned matrix is the full symmetric C = A·Aᵀ, assembled from the
+// distributed owners for convenience and validation. Assembly goes through
+// shared memory and is NOT counted as communication: 2D owners compute
+// their blocks in place into the result (C has no reduction there), while
+// 1D and 3D ranks write their reduce-scattered chunks into it as each
+// chunk arrives. The run (and the world's ledger) holds the per-rank
 // measured volumes, attributable by phase ("gather_A", "reduce_C",
 // "scatter_A").
 //
@@ -160,7 +162,9 @@ namespace internal {
 /// — the world itself or an active-ranks sub-communicator) and assembles
 /// this rank's share of the result into `c_full` via shared memory (free).
 /// `a` and `c_full` must already be at the plan's execution size
-/// (plan.exec_n1 rows); padding/truncation happens in the caller.
+/// (plan.exec_n1 rows); padding/truncation happens in the caller
+/// (ExecBuffers). `c_full` may arrive uninitialised: the ranks together
+/// write every entry of it.
 void run_syrk_plan_rank(comm::Comm& comm, const ConstMatrixView& a,
                         const Plan& plan, const SyrkOptions& opts,
                         Matrix& c_full);
@@ -169,8 +173,33 @@ void run_syrk_plan_rank(comm::Comm& comm, const ConstMatrixView& a,
 /// padding: the zero rows contribute nothing to A·Aᵀ).
 Matrix pad_rows(const Matrix& a, std::uint64_t rows);
 
-/// Top-left n1×n1 corner of a padded result (pass-through when sizes match).
-Matrix truncate_result(Matrix c_exec, std::uint64_t n1);
+/// The execution-size operands of one request, the single place where
+/// every entry point pads, allocates, and truncates: A padded with zero
+/// rows to plan.exec_n1 when the plan pads (otherwise the caller's A,
+/// uncopied — it must outlive the buffers), and the exec_n1² result the
+/// ranks assemble into. The result is allocated WITHOUT a zero-fill: every
+/// algorithm writes each of its entries (1D/3D through their scatters, 2D
+/// owners zero-fill and compute their own blocks in place), so the pages
+/// are first touched in parallel by the ranks that own them.
+class ExecBuffers {
+ public:
+  ExecBuffers() = default;
+  ExecBuffers(const Matrix& a, const Plan& plan);
+
+  /// The input at execution size.
+  ConstMatrixView a() const { return padded_ ? a_pad_.view() : a_->view(); }
+  /// The result every rank assembles into (exec_n1 × exec_n1).
+  Matrix& c() { return c_; }
+  /// Moves the result out, truncated to the caller's n1×n1 corner. Call
+  /// once, after every rank has finished.
+  Matrix take_result();
+
+ private:
+  const Matrix* a_ = nullptr;
+  bool padded_ = false;
+  Matrix a_pad_;
+  Matrix c_;
+};
 
 /// Executes `plan` as one job on a world of exactly plan.logical_ranks()
 /// ranks (folded onto plan.procs physical ranks when the plan folds),

@@ -342,10 +342,8 @@ TriangleBlocks syrk_2d_compute(const dist::TriangleBlockDistribution& d,
 
 TriangleBlocks syrk_2d_spmd(comm::Comm& comm,
                             const dist::TriangleBlockDistribution& d,
-                            const ConstMatrixView& a, ExchangeKind exchange,
-                            int pipeline_chunks) {
-  AssembledRowBlocks rb =
-      syrk_2d_gather(comm, d, a, exchange, pipeline_chunks);
+                            const ConstMatrixView& a) {
+  AssembledRowBlocks rb = syrk_2d_gather(comm, d, a, ExchangeKind::kPairwise);
   return syrk_2d_compute(d, static_cast<std::uint64_t>(comm.rank()), rb);
 }
 

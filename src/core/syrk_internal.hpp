@@ -61,9 +61,11 @@ void syrk_1d_spmd_pipelined(comm::Comm& comm, const ConstMatrixView& a,
 /// in inter-node words on a two-level topology.
 enum class ExchangeKind { kPairwise, kButterfly, kHierarchical };
 
-/// Alg. 2 per-rank body: All-to-All gather of the c row blocks in this
-/// rank's row-block set, then local GEMMs for the triangle block of blocks
-/// and a local SYRK for the diagonal block if assigned.
+/// Alg. 2 per-rank body into per-block temporaries (the 3D slices and the
+/// distributed-matrix API; the 2D driver computes in place instead):
+/// pairwise All-to-All gather of the c row blocks in this rank's row-block
+/// set, then local GEMMs for the triangle block of blocks and a local SYRK
+/// for the diagonal block if assigned.
 struct TriangleBlocks {
   /// Owned off-diagonal block coordinates (i, j), i > j, sorted; one Matrix
   /// per pair in the same order.
@@ -75,9 +77,7 @@ struct TriangleBlocks {
 };
 TriangleBlocks syrk_2d_spmd(comm::Comm& comm,
                             const dist::TriangleBlockDistribution& d,
-                            const ConstMatrixView& a,
-                            ExchangeKind exchange = ExchangeKind::kPairwise,
-                            int pipeline_chunks = 0);
+                            const ConstMatrixView& a);
 
 /// Row blocks of A this rank assembled from the All-to-All (the output of
 /// the 2D gather stage, input to the compute stage).

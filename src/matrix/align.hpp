@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace parsyrk {
@@ -40,6 +41,19 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t) {
     ::operator delete(p, std::align_val_t(kMatrixAlignment));
+  }
+
+  /// Default-initialises: sizing a vector (`AlignedVector(n)`, `resize`)
+  /// leaves doubles uninitialised instead of zero-filling them, so large
+  /// buffers whose owners write every element skip a serial fill pass.
+  /// Construction from a value (`AlignedVector(n, v)`) is unchanged.
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   template <class U>

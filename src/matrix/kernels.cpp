@@ -18,6 +18,10 @@ constexpr std::size_t kTileM = 64;
 constexpr std::size_t kTileN = 64;
 constexpr std::size_t kTileK = 256;
 
+// Square tile of the blocked transposes: a 32×32 double tile of source and
+// destination together stay well inside L1.
+constexpr std::size_t kTransposeTile = 32;
+
 using kern::kKC;
 using kern::kMC;
 using kern::kMR;
@@ -349,7 +353,7 @@ void symm_lower_left(const ConstMatrixView& s_lower, const ConstMatrixView& b,
 Matrix syr2k_reference(const ConstMatrixView& a, const ConstMatrixView& b) {
   Matrix c(a.rows(), a.rows());
   syr2k_lower_naive(a, b, c.view());
-  symmetrize_from_lower(c);
+  symmetrize_from_lower(c.view());
   return c;
 }
 
@@ -363,22 +367,49 @@ Matrix symm_reference(const ConstMatrixView& s_lower,
 Matrix syrk_reference(const ConstMatrixView& a) {
   Matrix c(a.rows(), a.rows());
   syrk_lower_naive(a, c.view());
-  symmetrize_from_lower(c);
+  symmetrize_from_lower(c.view());
   return c;
 }
 
 Matrix transpose(const ConstMatrixView& a) {
-  Matrix t(a.cols(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
-  }
+  Matrix t = Matrix::uninitialized(a.cols(), a.rows());
+  transpose_into(a, t.view());
   return t;
 }
 
-void symmetrize_from_lower(Matrix& c) {
+void transpose_into(const ConstMatrixView& a, const MatrixView& t) {
+  PARSYRK_CHECK(t.rows() == a.cols() && t.cols() == a.rows());
+  const std::size_t m = a.rows(), n = a.cols();
+  for (std::size_t i0 = 0; i0 < m; i0 += kTransposeTile) {
+    const std::size_t im = std::min(i0 + kTransposeTile, m);
+    for (std::size_t j0 = 0; j0 < n; j0 += kTransposeTile) {
+      const std::size_t jm = std::min(j0 + kTransposeTile, n);
+      for (std::size_t j = j0; j < jm; ++j) {
+        double* trow = t.data() + j * t.ld();
+        const double* acol = a.data() + j;
+        for (std::size_t i = i0; i < im; ++i) trow[i] = acol[i * a.ld()];
+      }
+    }
+  }
+}
+
+void symmetrize_from_lower(const MatrixView& c) {
   PARSYRK_CHECK(c.rows() == c.cols());
-  for (std::size_t i = 0; i < c.rows(); ++i) {
-    for (std::size_t j = i + 1; j < c.cols(); ++j) c(i, j) = c(j, i);
+  const std::size_t n = c.rows();
+  // Tile pairs (i0, j0) of the lower triangle; row j of the upper triangle
+  // takes column j of the lower one.
+  for (std::size_t i0 = 0; i0 < n; i0 += kTransposeTile) {
+    const std::size_t im = std::min(i0 + kTransposeTile, n);
+    for (std::size_t j0 = 0; j0 <= i0; j0 += kTransposeTile) {
+      const std::size_t jm = std::min(j0 + kTransposeTile, n);
+      for (std::size_t j = j0; j < jm; ++j) {
+        double* urow = c.data() + j * c.ld();
+        const double* lcol = c.data() + j;
+        for (std::size_t i = std::max(i0, j + 1); i < im; ++i) {
+          urow[i] = lcol[i * c.ld()];
+        }
+      }
+    }
   }
 }
 

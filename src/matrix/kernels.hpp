@@ -85,9 +85,14 @@ Matrix syrk_reference(const ConstMatrixView& a);
 /// Returns Aᵀ as a fresh matrix.
 Matrix transpose(const ConstMatrixView& a);
 
-/// Copies the strict upper triangle onto the strict lower (or vice versa) so
-/// a triangular result can be compared entry-for-entry with a full one.
-void symmetrize_from_lower(Matrix& c);
+/// Writes Aᵀ into `t` (a.cols() × a.rows()), cache-blocked so neither side
+/// is walked column-strided beyond one tile. The views must not overlap.
+void transpose_into(const ConstMatrixView& a, const MatrixView& t);
+
+/// Copies the strict lower triangle of square `c` onto its strict upper
+/// triangle (cache-blocked), so a lower-triangular result reads as the full
+/// symmetric matrix.
+void symmetrize_from_lower(const MatrixView& c);
 
 /// max_{i,j} |a(i,j) - b(i,j)|; shapes must match.
 double max_abs_diff(const ConstMatrixView& a, const ConstMatrixView& b);

@@ -39,6 +39,18 @@ class Matrix {
   static Matrix from_rows(
       std::initializer_list<std::initializer_list<double>> rows);
 
+  /// A rows×cols matrix whose entries are left uninitialised (no serial
+  /// zero-fill; pages are first touched by whoever writes them). Every
+  /// entry must be written before it is read.
+  static Matrix uninitialized(std::size_t rows, std::size_t cols) {
+    Matrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.ld_ = padded_ld(cols);
+    m.data_ = AlignedVector(rows * m.ld_);
+    return m;
+  }
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   /// Row stride of the aligned storage; >= cols(), multiple of kLdGranule.

@@ -326,9 +326,7 @@ struct SyrkService::StreamJob {
   comm::RangeJob handle;
   int base = 0;
   int procs = 0;
-  const Matrix* exec_a = nullptr;
-  Matrix a_pad;   // storage when the plan pads n1
-  Matrix c_exec;  // result assembly target, plan-execution-sized
+  core::internal::ExecBuffers exec;  // padded A + result assembly target
   /// Ledger snapshot at launch; the job's range is idle then, so
   /// rank-range summaries against it are exact even while other ranges run.
   comm::CostLedger::Snapshot before;
@@ -524,14 +522,7 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
             job->st = st;
             job->base = p.base_rank;
             job->procs = static_cast<int>(st->plan.logical_ranks());
-            const Matrix& a = *st->request.a;
-            const std::uint64_t exec_n1 = st->plan.exec_n1(a.rows());
-            job->exec_a = &a;
-            if (exec_n1 != a.rows()) {
-              job->a_pad = core::internal::pad_rows(a, exec_n1);
-              job->exec_a = &job->a_pad;
-            }
-            job->c_exec = Matrix(exec_n1, exec_n1);
+            job->exec = core::internal::ExecBuffers(*st->request.a, st->plan);
             job->before = world.ledger().snapshot();
 
             ++stats_.rounds;
@@ -557,8 +548,8 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
                 job->base, job->base + job->procs,
                 [raw](comm::Comm& c) {
                   core::internal::run_syrk_plan_rank(
-                      c, raw->exec_a->view(), raw->st->plan,
-                      raw->st->request.options, raw->c_exec);
+                      c, raw->exec.a(), raw->st->plan,
+                      raw->st->request.options, raw->exec.c());
                 },
                 [this, raw] {
                   // Notify while holding the lock: this callback runs on a
@@ -604,7 +595,7 @@ void SyrkService::finalize_stream_job(StreamJob& job) {
   const int hi = job.base + job.procs;
   core::SyrkRun run;
   run.plan = st.plan;
-  run.c = core::internal::truncate_result(std::move(job.c_exec), a.rows());
+  run.c = job.exec.take_result();
   run.total = ledger.summary_since(job.before, lo, hi);
   run.gather_a =
       ledger.summary_since(job.before, core::internal::kPhaseGatherA, lo, hi);
@@ -659,9 +650,7 @@ struct SyrkService::BatchJob {
   detail::TicketState* st = nullptr;
   int base = 0;
   int procs = 0;
-  const Matrix* exec_a = nullptr;
-  Matrix a_pad;   // storage when the plan pads n1
-  Matrix c_exec;  // shared result assembly target, plan-execution-sized
+  core::internal::ExecBuffers exec;  // padded A + shared result target
 };
 
 void SyrkService::run_batched(
@@ -688,14 +677,7 @@ void SyrkService::run_batched(
     job.st = &st;
     job.base = round.placements[j].base_rank;
     job.procs = static_cast<int>(st.plan.logical_ranks());
-    const Matrix& a = *st.request.a;
-    const std::uint64_t exec_n1 = st.plan.exec_n1(a.rows());
-    job.exec_a = &a;
-    if (exec_n1 != a.rows()) {
-      job.a_pad = core::internal::pad_rows(a, exec_n1);
-      job.exec_a = &job.a_pad;
-    }
-    job.c_exec = Matrix(exec_n1, exec_n1);
+    job.exec = core::internal::ExecBuffers(*st.request.a, st.plan);
     for (int r = job.base; r < job.base + job.procs; ++r) {
       rank_to_job[static_cast<std::size_t>(r)] = static_cast<int>(j);
     }
@@ -713,9 +695,9 @@ void SyrkService::run_batched(
       comm::Comm sub = wc.split(j >= 0 ? j : idle_color, wc.rank());
       if (j < 0) return;
       BatchJob& job = jobs[static_cast<std::size_t>(j)];
-      core::internal::run_syrk_plan_rank(sub, job.exec_a->view(),
-                                         job.st->plan,
-                                         job.st->request.options, job.c_exec);
+      core::internal::run_syrk_plan_rank(sub, job.exec.a(), job.st->plan,
+                                         job.st->request.options,
+                                         job.exec.c());
     });
   } catch (...) {
     // A rank failure poisons the whole world, taking the innocent
@@ -739,7 +721,7 @@ void SyrkService::run_batched(
     const int hi = job.base + job.procs;
     core::SyrkRun run;
     run.plan = job.st->plan;
-    run.c = core::internal::truncate_result(std::move(job.c_exec), a.rows());
+    run.c = job.exec.take_result();
     run.total = ledger.summary_since(before, lo, hi);
     run.gather_a =
         ledger.summary_since(before, core::internal::kPhaseGatherA, lo, hi);

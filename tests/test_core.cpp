@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <tuple>
 
 #include "core/session.hpp"
@@ -249,13 +251,174 @@ TEST(ThreeD, AttainsCase3BoundWithOptimalGrid) {
 }
 
 TEST(ThreeD, ReducesToTwoDWhenP2IsOne) {
-  const std::size_t n1 = 36, n2 = 10;
-  Matrix a = random_matrix(n1, n2, 304);
-  Session session(6);
-  const auto run3 = syrk(session, SyrkRequest(a).use_3d(2, 1));
-  const auto run2 = syrk(session, SyrkRequest(a).use_2d(2));
-  EXPECT_LT(max_abs_diff(run3.c.view(), run2.c.view()), kTol);
-  EXPECT_EQ(run3.total.max.words_sent, run2.total.max.words_sent);
+  // 2D owners compute in place into the result while a 3D slice computes
+  // into per-block temporaries and scatters them; the kernels do not depend
+  // on where C lives, so the two agree bitwise — pipelined 2D included.
+  struct Shape {
+    std::size_t n1, n2;
+    std::uint64_t c;
+  };
+  Session session(30);
+  for (const Shape s : {Shape{36, 10, 2}, Shape{2048, 64, 2},
+                        Shape{100, 37, 5}, Shape{99, 70, 3}}) {
+    SCOPED_TRACE(::testing::Message() << s.n1 << "x" << s.n2 << " c=" << s.c);
+    Matrix a = random_matrix(s.n1, s.n2, 304);
+    const auto run3 = syrk(session, SyrkRequest(a).use_3d(s.c, 1));
+    const auto run2 = syrk(session, SyrkRequest(a).use_2d(s.c));
+    EXPECT_TRUE(run3.c == run2.c);
+    EXPECT_EQ(run3.total.max.words_sent, run2.total.max.words_sent);
+    const auto piped =
+        syrk(session, SyrkRequest(a).use_2d(s.c).with_pipeline(3));
+    EXPECT_TRUE(piped.c == run2.c);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Result assembly into an uninitialised C
+// ---------------------------------------------------------------------------
+//
+// Entry points allocate the result without a zero-fill and rely on the ranks
+// writing every entry. Fresh pages read as zero, so a missed entry would go
+// unnoticed against an allocation; these tests prefill C with NaN instead.
+
+struct AssemblyCase {
+  const char* name;
+  Algorithm algorithm;
+  std::size_t n1, n2;
+  std::uint64_t procs;        // physical ranks
+  std::uint64_t c = 0;        // 2D/3D grid prime
+  std::uint64_t p2 = 1;       // 3D slices
+  std::uint64_t logical = 0;  // folded logical grid (0 = unfolded)
+  int ranks_per_node = 1;
+  SyrkOptions opts = {};
+};
+
+void PrintTo(const AssemblyCase& t, std::ostream* os) { *os << t.name; }
+
+Plan assembly_plan(const AssemblyCase& t) {
+  Plan plan;
+  plan.algorithm = t.algorithm;
+  plan.procs = t.procs;
+  plan.c = t.c;
+  plan.p1 = t.algorithm == Algorithm::kOneD ? 1 : t.c * (t.c + 1);
+  plan.p2 = t.algorithm == Algorithm::kOneD ? t.procs : t.p2;
+  plan.logical = t.logical;
+  return plan;
+}
+
+/// Every entry of `c` is finite and `c` matches the serial oracle.
+void expect_complete(const Matrix& c, const Matrix& a) {
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    for (std::size_t j = 0; j < c.cols(); ++j) {
+      ASSERT_TRUE(std::isfinite(c(i, j))) << "C(" << i << ", " << j << ")";
+    }
+  }
+  const Matrix ref = syrk_reference(a.view());
+  EXPECT_LT(max_abs_diff(c.view(), ref.view()), kTol);
+}
+
+class UninitialisedResult : public ::testing::TestWithParam<AssemblyCase> {};
+
+TEST_P(UninitialisedResult, EveryEntryWritten) {
+  const AssemblyCase& t = GetParam();
+  const Plan plan = assembly_plan(t);
+  Matrix a = random_matrix(t.n1, t.n2, 404);
+  comm::World world(static_cast<int>(plan.logical_ranks()),
+                    static_cast<int>(plan.procs));
+  world.set_topology(t.ranks_per_node);
+  Matrix c(t.n1, t.n1, std::numeric_limits<double>::quiet_NaN());
+  world.run([&](comm::Comm& comm) {
+    internal::run_syrk_plan_rank(comm, a.view(), plan, t.opts, c);
+  });
+  expect_complete(c, a);
+}
+
+// Base grids (names are filled in per instance below).
+const AssemblyCase kOneDCase{"", Algorithm::kOneD, 13, 9, 4};
+const AssemblyCase kTwoDCase{"", Algorithm::kTwoD, 36, 10, 6, 2};
+const AssemblyCase kThreeDCase{"", Algorithm::kThreeD, 24, 24, 12, 2, 2};
+
+/// `base` renamed, with `tweak` applied to it.
+template <class F>
+AssemblyCase variant(AssemblyCase base, const char* name, F tweak) {
+  base.name = name;
+  tweak(base);
+  return base;
+}
+AssemblyCase variant(AssemblyCase base, const char* name) {
+  return variant(base, name, [](AssemblyCase&) {});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPaths, UninitialisedResult,
+    ::testing::Values(
+        variant(kOneDCase, "OneDPairwise"),
+        variant(kOneDCase, "OneDBruck",
+                [](AssemblyCase& t) { t.opts.reduce = ReduceKind::kBruck; }),
+        variant(kOneDCase, "OneDHierarchical",
+                [](AssemblyCase& t) {
+                  t.opts.reduce = ReduceKind::kHierarchical;
+                  t.ranks_per_node = 2;
+                }),
+        variant(kOneDCase, "OneDFromRoot",
+                [](AssemblyCase& t) { t.opts.root = 1; }),
+        variant(kOneDCase, "OneDPipelined",
+                [](AssemblyCase& t) { t.opts.pipeline_chunks = 3; }),
+        variant(kOneDCase, "OneDZeroColumnRanks",  // n2 < P
+                [](AssemblyCase& t) {
+                  t.n1 = 5;
+                  t.n2 = 3;
+                  t.procs = 8;
+                }),
+        variant(kTwoDCase, "TwoDPairwise"),
+        variant(kTwoDCase, "TwoDButterfly",
+                [](AssemblyCase& t) {
+                  t.opts.exchange = ExchangeKind::kButterfly;
+                }),
+        variant(kTwoDCase, "TwoDHierarchical",
+                [](AssemblyCase& t) {
+                  t.opts.exchange = ExchangeKind::kHierarchical;
+                  t.ranks_per_node = 3;
+                }),
+        variant(kTwoDCase, "TwoDPipelined",
+                [](AssemblyCase& t) { t.opts.pipeline_chunks = 3; }),
+        variant(kTwoDCase, "TwoDFolded",  // 6 logical ranks on 4
+                [](AssemblyCase& t) {
+                  t.procs = 4;
+                  t.logical = 6;
+                }),
+        variant(kTwoDCase, "TwoDBlockOfOne",  // nb = n1 / c² = 1
+                [](AssemblyCase& t) { t.n1 = 4; }),
+        variant(kTwoDCase, "TwoDPrimeThree",
+                [](AssemblyCase& t) {
+                  t.n1 = 27;
+                  t.c = 3;
+                  t.procs = 12;
+                }),
+        variant(kThreeDCase, "ThreeDBlocking"),
+        variant(kThreeDCase, "ThreeDPipelined",
+                [](AssemblyCase& t) { t.opts.pipeline_chunks = 3; })),
+    [](const ::testing::TestParamInfo<AssemblyCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(ExecBuffers, PaddedPlanFillsUninitialisedResult) {
+  // n1 = 37 runs padded to 40 = 10·c²; the helper's result is prefilled
+  // with NaN so the padded rows and the truncation are both exercised.
+  Matrix a = random_matrix(37, 11, 405);
+  Plan plan = assembly_plan(kTwoDCase);
+  plan.padded_n1 = 40;
+  internal::ExecBuffers exec(a, plan);
+  ASSERT_EQ(exec.a().rows(), 40u);
+  ASSERT_EQ(exec.c().rows(), 40u);
+  exec.c().fill(std::numeric_limits<double>::quiet_NaN());
+  comm::World world(6);
+  world.run([&](comm::Comm& comm) {
+    internal::run_syrk_plan_rank(comm, exec.a(), plan, {}, exec.c());
+  });
+  const Matrix c = exec.take_result();
+  ASSERT_EQ(c.rows(), 37u);
+  expect_complete(c, a);
 }
 
 // ---------------------------------------------------------------------------
