@@ -45,6 +45,10 @@ const GoldenConfig kConfigs[] = {
      [](core::SyrkRequest& r) { r.use_3d(2, 2); }},
 };
 
+// Without this gtest prints the config's raw bytes, pointers included, so
+// the listed test names would change from run to run under ASLR.
+void PrintTo(const GoldenConfig& cfg, std::ostream* os) { *os << cfg.name; }
+
 std::string golden_path(const GoldenConfig& cfg) {
   return std::string(PARSYRK_GOLDEN_DIR) + "/" + cfg.name + ".bin";
 }
