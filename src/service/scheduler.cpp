@@ -1,59 +1,8 @@
 #include "service/scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
-
-#include "support/check.hpp"
 
 namespace parsyrk::service {
-
-RoundPlan plan_round(const std::vector<JobSpec>& queue, int world_size,
-                     const AdmissionLimits& limits) {
-  PARSYRK_REQUIRE(!queue.empty(), "plan_round needs a non-empty queue");
-  PARSYRK_REQUIRE(world_size >= 1, "plan_round needs a world");
-  RoundPlan round;
-  const std::size_t max_jobs = std::max<std::size_t>(
-      std::size_t{1}, limits.max_jobs_per_round);
-
-  // The head is always admitted: admission bounds what rides along, it
-  // never blocks the front of the queue (that would starve, not protect).
-  std::uint64_t base = 0;
-  round.placements.push_back({0, 0});
-  round.modeled_sum_seconds = queue[0].modeled_seconds;
-  round.modeled_max_seconds = queue[0].modeled_seconds;
-  if (queue[0].solo) return round;
-  base = queue[0].ranks;
-
-  // Follower budget accounting: an oversized head (cost alone above the
-  // budget) runs on its own terms and stops consuming follower budget —
-  // otherwise it would also block tiny followers that fit on the leftover
-  // ranks, starving exactly the jobs a straggler round should carry along.
-  double budget_used =
-      queue[0].modeled_seconds > limits.modeled_seconds_per_round
-          ? 0.0
-          : queue[0].modeled_seconds;
-
-  // FIFO prefix: stop at the first job that does not fit — by rank budget,
-  // job-count cap, modeled-cost budget, or because it must run solo.
-  // Skipping it to pack a later job would reorder completions.
-  for (std::size_t j = 1; j < queue.size(); ++j) {
-    const JobSpec& job = queue[j];
-    if (round.placements.size() >= max_jobs) break;
-    if (job.solo) break;
-    if (base + job.ranks > static_cast<std::uint64_t>(world_size)) break;
-    if (budget_used + job.modeled_seconds >
-        limits.modeled_seconds_per_round) {
-      break;
-    }
-    round.placements.push_back({j, static_cast<int>(base)});
-    base += job.ranks;
-    budget_used += job.modeled_seconds;
-    round.modeled_sum_seconds += job.modeled_seconds;
-    round.modeled_max_seconds =
-        std::max(round.modeled_max_seconds, job.modeled_seconds);
-  }
-  return round;
-}
 
 std::vector<Placement> plan_stream_step(const std::vector<JobSpec>& queue,
                                         const std::vector<RankInterval>& free,
@@ -71,9 +20,9 @@ std::vector<Placement> plan_stream_step(const std::vector<JobSpec>& queue,
     // runs them alone. FIFO: nothing behind them dispatches either.
     if (job.solo) break;
     if (inflight_jobs + placed.size() >= max_jobs) break;
-    // The no-starvation rule carries over from plan_round: with an idle
-    // world the head always dispatches, and when its cost alone exceeds
-    // the budget it does not consume follower budget either.
+    // No-starvation rule: with an idle world the head always dispatches,
+    // and when its cost alone exceeds the budget it does not consume
+    // follower budget either.
     const bool head_exempt = inflight_jobs == 0 && placed.empty();
     if (!head_exempt && budget_used + job.modeled_seconds >
                             limits.modeled_seconds_per_round) {
@@ -81,7 +30,7 @@ std::vector<Placement> plan_stream_step(const std::vector<JobSpec>& queue,
     }
     // First-fit leftmost within the free intervals. A job that fits
     // nowhere right now ends the step — dispatching a later job over it
-    // would reorder completions arbitrarily far.
+    // would break FIFO dispatch order.
     std::size_t hole = holes.size();
     for (std::size_t h = 0; h < holes.size(); ++h) {
       if (static_cast<std::uint64_t>(holes[h].extent) >= job.ranks) {
@@ -99,53 +48,6 @@ std::vector<Placement> plan_stream_step(const std::vector<JobSpec>& queue,
     }
   }
   return placed;
-}
-
-double streaming_makespan(const std::vector<JobSpec>& queue, int world_size) {
-  PARSYRK_REQUIRE(world_size >= 1, "streaming_makespan needs a world");
-  std::vector<double> busy(static_cast<std::size_t>(world_size), 0.0);
-  // FIFO dispatch: job j+1 cannot start before job j did (the scheduler
-  // never overtakes), so each start is clamped to the previous one.
-  double prev_start = 0.0;
-  for (const JobSpec& job : queue) {
-    PARSYRK_REQUIRE(job.ranks >= 1 &&
-                        job.ranks <= static_cast<std::uint64_t>(world_size),
-                    "job needs ", job.ranks, " ranks on a world of ",
-                    world_size);
-    const int p = static_cast<int>(job.ranks);
-    if (job.solo) {
-      // Solo jobs quiesce the stream: they start when every rank drained
-      // and hold the whole world while they run.
-      double start = prev_start;
-      for (double b : busy) start = std::max(start, b);
-      std::fill(busy.begin(), busy.end(), start + job.modeled_seconds);
-      prev_start = start;
-      continue;
-    }
-    // The job dispatches onto the contiguous window that frees earliest
-    // (leftmost on ties) — the list-scheduling placement the streaming
-    // executor converges to.
-    int best_base = 0;
-    double best_start = std::numeric_limits<double>::infinity();
-    for (int base = 0; base + p <= world_size; ++base) {
-      double start = 0.0;
-      for (int r = base; r < base + p; ++r) {
-        start = std::max(start, busy[static_cast<std::size_t>(r)]);
-      }
-      if (start < best_start) {
-        best_start = start;
-        best_base = base;
-      }
-    }
-    const double start = std::max(best_start, prev_start);
-    for (int r = best_base; r < best_base + p; ++r) {
-      busy[static_cast<std::size_t>(r)] = start + job.modeled_seconds;
-    }
-    prev_start = start;
-  }
-  double makespan = 0.0;
-  for (double b : busy) makespan = std::max(makespan, b);
-  return makespan;
 }
 
 }  // namespace parsyrk::service

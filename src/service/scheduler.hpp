@@ -1,27 +1,27 @@
-// Batched-round scheduling: FIFO prefix packing of queued SYRK jobs onto
-// disjoint rank subsets of one world, sdpb-style.
+// Streaming (work-conserving) dispatch policy: FIFO placement of queued
+// SYRK jobs onto the free rank intervals of one world, sdpb-style.
 //
 // sdpb precomputes a Blas_Job_Schedule that maps many block SYRKs onto the
-// available ranks instead of serializing whole-pool runs; plan_round is the
-// analogous step here. Given the FIFO queue of admitted jobs — each already
-// priced by the planner's modeled αβγ cost — it packs the longest prefix of
-// the queue that fits side by side into the world:
+// available ranks instead of serializing whole-pool runs; plan_stream_step
+// is the analogous step here, taken every time the service's executor
+// wakes up. Given the FIFO queue of admitted jobs — each already priced by
+// the planner's modeled αβγ cost — and the ranks no in-flight job holds,
+// it picks the queue prefix to launch right now:
 //
-//   - placement is contiguous: job k occupies ranks [base_k, base_k + P_k)
-//     with bases assigned left to right, so every job sees the same
-//     rank-relative structure it would see running solo;
-//   - strictly FIFO: packing stops at the first job that does not fit (no
-//     skipping ahead), which is what makes completion order match
-//     submission order — the fairness property test_service pins down;
-//   - admission-bounded: the summed modeled seconds of a round may not
-//     exceed the per-round budget, so one huge request cannot ride along
-//     and starve the queue behind it — except that the queue head is always
-//     admitted (alone if need be), so nothing starves forever;
+//   - placement is contiguous: a job occupies ranks [base, base + P) inside
+//     one free interval, so every job sees the same rank-relative structure
+//     it would see running solo;
+//   - strictly FIFO: placement stops at the first job that does not fit (no
+//     skipping ahead), so dispatch order is submission order;
+//   - admission-bounded: in-flight plus newly placed modeled seconds may
+//     not exceed the budget, so one huge request cannot ride along and
+//     starve the queue behind it — except that the queue head always
+//     dispatches onto an idle world, so nothing starves forever;
 //   - solo jobs (folded plans, whose accounting needs a dedicated world)
-//     are never packed with others.
+//     are never placed; the caller quiesces the stream and runs them alone.
 //
-// plan_round is pure (no service state, no clocks) so the packing policy is
-// unit-testable without running a single job.
+// plan_stream_step is pure (no service state, no clocks) so the dispatch
+// policy is unit-testable without running a single job.
 #pragma once
 
 #include <cstddef>
@@ -30,17 +30,18 @@
 
 namespace parsyrk::service {
 
-/// Per-round admission limits. Defaults are sized for small/medium jobs on
-/// the modeled machine (alpha = 1us): a round of ~50ms modeled work packs
-/// dozens of small SYRKs but only a couple of medium ones.
+/// Admission limits on the work in flight at once. Defaults are sized for
+/// small/medium jobs on the modeled machine (alpha = 1us): ~50ms of modeled
+/// work in flight admits dozens of small SYRKs but only a couple of medium
+/// ones.
 struct AdmissionLimits {
-  /// Summed modeled seconds a round may carry (queue head exempt).
+  /// Summed modeled seconds in flight (queue head exempt on an idle world).
   double modeled_seconds_per_round = 0.05;
-  /// Cap on jobs per round regardless of modeled cost.
+  /// Cap on jobs in flight regardless of modeled cost (1 = one at a time).
   std::size_t max_jobs_per_round = 16;
 };
 
-/// One queued job as the packer sees it.
+/// One queued job as the dispatcher sees it.
 struct JobSpec {
   /// World ranks the job's plan occupies (plan.logical_ranks()).
   std::uint64_t ranks = 0;
@@ -50,45 +51,10 @@ struct JobSpec {
   bool solo = false;
 };
 
-/// One job's slot in a round: queue index and first world rank.
+/// One dispatched job's slot: queue index and first world rank.
 struct Placement {
-  std::size_t job = 0;  // index into the queue plan_round was given
+  std::size_t job = 0;  // index into the queue plan_stream_step was given
   int base_rank = 0;
-};
-
-/// The schedule for one world job. Placements are in queue (FIFO) order and
-/// always form a prefix of the queue.
-struct RoundPlan {
-  std::vector<Placement> placements;
-  /// Summed modeled seconds of the placed jobs (the admission currency).
-  double modeled_sum_seconds = 0.0;
-  /// Max modeled seconds over placed jobs — the round's modeled makespan
-  /// (placed jobs run concurrently on disjoint ranks).
-  double modeled_max_seconds = 0.0;
-};
-
-/// Packs the longest admissible FIFO prefix of `queue` into a world of
-/// `world_size` ranks. `queue` must be non-empty; the head is always placed.
-/// The head is exempt from the cost budget; when its cost alone exceeds the
-/// budget it also stops consuming follower budget, so tiny followers still
-/// pack onto the leftover ranks behind an oversized head.
-RoundPlan plan_round(const std::vector<JobSpec>& queue, int world_size,
-                     const AdmissionLimits& limits);
-
-// ---- Streaming (work-conserving) mode ----
-//
-// The streaming scheduler keeps plan_round's pure admission policy but
-// drops the round barrier: whenever a job's rank subset drains, the next
-// admissible FIFO jobs are dispatched onto the freed ranks immediately.
-// plan_stream_step is the per-wakeup decision — which queue prefix to
-// launch onto the currently free rank intervals — and streaming_makespan
-// is the matching cost model: a list-scheduling bound (max over per-rank
-// busy time) instead of plan_round's max-over-round-members.
-
-/// How the service executes its queue.
-enum class SchedMode {
-  kRounds,     ///< barrier-synchronized plan_round batches (PR 6 semantics)
-  kStreaming,  ///< continuous dispatch onto freed ranks (work-conserving)
 };
 
 /// One maximal run of currently-free consecutive world ranks.
@@ -103,22 +69,14 @@ struct RankInterval {
 /// intervals, admission-bounded: in-flight modeled seconds plus the newly
 /// placed sum may not exceed the budget, and in-flight plus placed jobs may
 /// not exceed the job cap. When nothing is in flight the queue head is
-/// exempt from the cost budget (plan_round's no-starvation rule), and an
-/// oversized head does not consume follower budget. Solo jobs are never
-/// placed (the caller quiesces the stream and runs them alone). Placement
-/// base ranks refer to world ranks; `job` indexes into `queue`.
+/// exempt from the cost budget (the no-starvation rule), and an oversized
+/// head does not consume follower budget. Solo jobs are never placed (the
+/// caller quiesces the stream and runs them alone). Placement base ranks
+/// refer to world ranks; `job` indexes into `queue`.
 std::vector<Placement> plan_stream_step(const std::vector<JobSpec>& queue,
                                         const std::vector<RankInterval>& free,
                                         double inflight_modeled_seconds,
                                         std::size_t inflight_jobs,
                                         const AdmissionLimits& limits);
-
-/// List-scheduling makespan bound of running `queue` FIFO through the
-/// streaming scheduler on `world_size` ranks: jobs start in order, each on
-/// the contiguous window that frees earliest (leftmost on ties), solo jobs
-/// quiesce the world. Returns the max per-rank busy time — the modeled
-/// quantity the service prices streamed admission against, and the number
-/// the straggler-mix bench compares to plan_round's barrier makespan.
-double streaming_makespan(const std::vector<JobSpec>& queue, int world_size);
 
 }  // namespace parsyrk::service

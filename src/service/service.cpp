@@ -28,7 +28,7 @@ struct TicketState {
   std::chrono::steady_clock::time_point dispatched_at;
 
   // Admission-time resolution (scheduler thread only). Sticky: a ticket is
-  // priced once, even if it waits several rounds for its turn.
+  // priced once, even if it waits several dispatch steps for its turn.
   bool admitted = false;
   core::Plan plan;
   double modeled_seconds = 0.0;
@@ -94,7 +94,10 @@ SyrkService::SyrkService(ServiceOptions options)
   install_cache_resolver();
   epoch_ = std::chrono::steady_clock::now();
   timeline_.set_ranks(options_.procs);
-  scheduler_ = std::thread([this] { scheduler_loop(); });
+  scheduler_ = std::thread([this] {
+    std::unique_lock lock(mu_);
+    streaming_loop(lock);
+  });
 }
 
 SyrkService::~SyrkService() {
@@ -136,15 +139,15 @@ SyrkResult SyrkService::syrk(core::SyrkRequest request) {
 
 void SyrkService::drain() {
   std::unique_lock lock(mu_);
-  idle_cv_.wait(lock, [&] { return queue_.empty() && !round_in_flight_; });
+  idle_cv_.wait(lock, [&] { return queue_.empty() && !work_in_flight_; });
 }
 
 void SyrkService::resize(int procs) {
   PARSYRK_REQUIRE(procs >= 1, "service needs at least one worker");
   std::unique_lock lock(mu_);
-  // Wait out in-flight work: the scheduler only touches the session while a
-  // round is in flight or under this lock, so once idle the swap is safe.
-  idle_cv_.wait(lock, [&] { return queue_.empty() && !round_in_flight_; });
+  // Wait out in-flight work: the scheduler only touches the session while
+  // work is in flight or under this lock, so once idle the swap is safe.
+  idle_cv_.wait(lock, [&] { return queue_.empty() && !work_in_flight_; });
   options_.procs = procs;
   session_ = std::make_unique<core::Session>(procs, *pool_);
   // Stale-fold guard: plans enumerated for the old worker count may fold
@@ -172,7 +175,7 @@ trace::ServiceTimeline SyrkService::timeline() const {
 
 bool SyrkService::admit(detail::TicketState& st) {
   // Resolution goes through the session's resolver, i.e. the plan cache —
-  // this is the one resolve every request pays at admission. (Solo rounds
+  // this is the one resolve every request pays at admission. (Solo jobs
   // re-resolve inside core::syrk; on the planner path that second lookup is
   // a cache hit.)
   try {
@@ -193,7 +196,7 @@ bool SyrkService::admit(detail::TicketState& st) {
     // struct is an open aggregate — a hand-assembled request can carry any
     // value. Admission is the service's last validation point before the
     // executor, so malformed knobs fail the ticket here, loudly, instead of
-    // surfacing as a mid-round executor REQUIRE.
+    // surfacing as a mid-flight executor REQUIRE.
     PARSYRK_REQUIRE(st.request.options.pipeline_chunks >= 0,
                     "pipeline_chunks must be >= 0 (0 = blocking); got ",
                     st.request.options.pipeline_chunks);
@@ -217,9 +220,9 @@ bool SyrkService::admit(detail::TicketState& st) {
       // strategy reset so the priced plan matches the executed one.
       st.plan.strategy = core::CollectiveStrategy::kPairwise;
       // Pipelined jobs are priced at their overlapped makespan, so the
-      // admission budget and batch bin-packing see the time they actually
-      // occupy the round. The ×S latency term inside uses the *effective*
-      // segment count (chunks clamped to the plan's available segments).
+      // admission budget sees the time they actually occupy their ranks.
+      // The ×S latency term inside uses the *effective* segment count
+      // (chunks clamped to the plan's available segments).
       st.modeled_seconds = core::plan_modeled_seconds_pipelined(
           st.request.a->rows(), st.request.a->cols(), st.plan,
           st.request.options.pipeline_chunks, options_.plan_options.machine,
@@ -237,88 +240,6 @@ bool SyrkService::admit(detail::TicketState& st) {
   }
 }
 
-void SyrkService::scheduler_loop() {
-  std::unique_lock lock(mu_);
-  if (options_.batching && options_.scheduler == SchedMode::kStreaming) {
-    streaming_loop(lock);
-  } else {
-    rounds_loop(lock);
-  }
-}
-
-void SyrkService::rounds_loop(std::unique_lock<std::mutex>& lock) {
-  for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-
-    // Admission: price the FIFO window the packer may look at. Requests
-    // that fail resolution (oversized plan, bad root, impossible memory
-    // limit) fail their ticket here and leave the queue.
-    const std::size_t window =
-        options_.batching
-            ? std::max<std::size_t>(1, options_.admission.max_jobs_per_round)
-            : 1;
-    std::vector<std::shared_ptr<detail::TicketState>> candidates;
-    std::vector<JobSpec> specs;
-    std::size_t i = 0;
-    while (i < queue_.size() && candidates.size() < window) {
-      std::shared_ptr<detail::TicketState> st = queue_[i];
-      if (!st->admitted && !admit(*st)) {
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-        ++stats_.failed;
-        fail(st, std::move(st->error));
-        continue;
-      }
-      JobSpec spec;
-      spec.ranks = st->plan.logical_ranks();
-      spec.modeled_seconds = st->modeled_seconds;
-      // Folded plans need a dedicated folded world; topology'd requests
-      // stamp set_topology on the world they run on, which a shared batched
-      // round cannot honor per-job — both run solo through core::syrk.
-      spec.solo =
-          st->plan.folded() || st->request.options.ranks_per_node > 1;
-      candidates.push_back(std::move(st));
-      specs.push_back(spec);
-      ++i;
-    }
-    if (candidates.empty()) {
-      if (queue_.empty()) idle_cv_.notify_all();
-      continue;
-    }
-
-    AdmissionLimits limits = options_.admission;
-    if (!options_.batching) limits.max_jobs_per_round = 1;
-    const RoundPlan round = plan_round(specs, session_->size(), limits);
-
-    // The placements are a prefix of the queue (strict FIFO): pop them,
-    // stamp dispatch time, and mark the tickets running.
-    std::vector<std::shared_ptr<detail::TicketState>> batch;
-    batch.reserve(round.placements.size());
-    const auto dispatched_at = std::chrono::steady_clock::now();
-    for (const Placement& p : round.placements) {
-      batch.push_back(candidates[p.job]);
-    }
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      queue_.pop_front();
-      batch[k]->dispatched_at = dispatched_at;
-      std::lock_guard ticket_lock(batch[k]->mu);
-      batch[k]->status = TicketStatus::kRunning;
-    }
-    round_in_flight_ = true;
-    ++stats_.rounds;
-    if (batch.size() >= 2) ++stats_.batched_rounds;
-
-    lock.unlock();
-    execute_round(std::move(batch), round);
-    lock.lock();
-    round_in_flight_ = false;
-    if (queue_.empty()) idle_cv_.notify_all();
-  }
-}
-
 /// Per-job execution state of one streamed dispatch. Heap-pinned for its
 /// whole flight: the rank bodies capture a raw pointer into it.
 struct SyrkService::StreamJob {
@@ -331,7 +252,7 @@ struct SyrkService::StreamJob {
   /// rank-range summaries against it are exact even while other ranges run.
   comm::CostLedger::Snapshot before;
   /// Shared the world with another in-flight job at any point of its
-  /// flight (the streaming analogue of riding a batched round).
+  /// flight (reported as SyrkResult::batched).
   bool batched = false;
 };
 
@@ -361,7 +282,7 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
       std::unique_ptr<StreamJob> job = std::move(*it);
       inflight.erase(it);
       // Hold drain()/resize() off while the job finalizes outside the lock.
-      round_in_flight_ = true;
+      work_in_flight_ = true;
       lock.unlock();
       job->handle.wait();  // returns immediately; runs the drained check
       const bool job_failed = job->handle.failed() || job->handle.aborted();
@@ -385,11 +306,11 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
     // ---- Failure recovery: rerun the casualties solo once drained ----
     if (episode_failed && inflight.empty()) {
       progressed = true;
-      round_in_flight_ = true;
+      work_in_flight_ = true;
       lock.unlock();
       session_->world().recover_after_failure();
       // The guilty job reports its real error from its solo rerun; the
-      // innocent ones complete normally (same policy as a poisoned round).
+      // innocent ones complete normally.
       for (const auto& st : to_retry) run_solo(st, /*retry=*/true);
       lock.lock();
       to_retry.clear();
@@ -407,7 +328,10 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
                        std::chrono::steady_clock::now());
       }
 
-      // Admission window, priced exactly as in rounds mode.
+      // Admission: price the FIFO window the dispatcher may look at.
+      // Requests that fail resolution (oversized plan, bad root,
+      // impossible memory limit) fail their ticket here and leave the
+      // queue.
       const std::size_t window =
           std::max<std::size_t>(1, options_.admission.max_jobs_per_round);
       std::vector<std::shared_ptr<detail::TicketState>> candidates;
@@ -453,7 +377,7 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
                 head->status = TicketStatus::kRunning;
               }
               ++stats_.rounds;
-              round_in_flight_ = true;
+              work_in_flight_ = true;
               progressed = true;
               lock.unlock();
               run_solo(head, /*retry=*/false);
@@ -528,7 +452,6 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
             ++stats_.rounds;
             if (!inflight.empty()) {
               ++stats_.interleaved_jobs;
-              ++stats_.batched_rounds;
               job->batched = true;
               for (auto& other : inflight) other->batched = true;
             }
@@ -567,8 +490,8 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
       }
     }
 
-    round_in_flight_ = !inflight.empty();
-    if (queue_.empty() && !round_in_flight_) idle_cv_.notify_all();
+    work_in_flight_ = !inflight.empty();
+    if (queue_.empty() && !work_in_flight_) idle_cv_.notify_all();
     if (stop_ && queue_.empty() && inflight.empty() &&
         stream_completed_.empty()) {
       return;
@@ -617,16 +540,6 @@ void SyrkService::finalize_stream_job(StreamJob& job) {
   finish(job.st, std::move(run), job.batched, job.base);
 }
 
-void SyrkService::execute_round(
-    std::vector<std::shared_ptr<detail::TicketState>> batch,
-    const RoundPlan& round) {
-  if (batch.size() == 1) {
-    run_solo(batch.front(), /*retry=*/false);
-    return;
-  }
-  run_batched(batch, round);
-}
-
 void SyrkService::run_solo(const std::shared_ptr<detail::TicketState>& st,
                            bool retry) {
   if (retry) {
@@ -642,101 +555,6 @@ void SyrkService::run_solo(const std::shared_ptr<detail::TicketState>& st,
       ++stats_.failed;
     }
     fail(st, std::current_exception());
-  }
-}
-
-/// Per-job execution state of one batched round.
-struct SyrkService::BatchJob {
-  detail::TicketState* st = nullptr;
-  int base = 0;
-  int procs = 0;
-  core::internal::ExecBuffers exec;  // padded A + shared result target
-};
-
-void SyrkService::run_batched(
-    const std::vector<std::shared_ptr<detail::TicketState>>& batch,
-    const RoundPlan& round) {
-  comm::World& world = session_->world();
-  // Batched rounds always run flat (topology'd requests are solo-forced);
-  // a preceding solo topology'd request stamped the shared world, so reset.
-  world.set_topology(1);
-  bool traced = false;
-  bool verified = false;
-  for (const auto& st : batch) {
-    traced = traced || st->request.trace;
-    verified = verified || st->request.verify;
-  }
-  if (traced) world.enable_tracing();
-  if (verified) world.enable_verify();
-
-  std::vector<BatchJob> jobs(batch.size());
-  std::vector<int> rank_to_job(static_cast<std::size_t>(world.size()), -1);
-  for (std::size_t j = 0; j < batch.size(); ++j) {
-    detail::TicketState& st = *batch[j];
-    BatchJob& job = jobs[j];
-    job.st = &st;
-    job.base = round.placements[j].base_rank;
-    job.procs = static_cast<int>(st.plan.logical_ranks());
-    job.exec = core::internal::ExecBuffers(*st.request.a, st.plan);
-    for (int r = job.base; r < job.base + job.procs; ++r) {
-      rank_to_job[static_cast<std::size_t>(r)] = static_cast<int>(j);
-    }
-  }
-
-  const comm::CostLedger::Snapshot before = world.ledger().snapshot();
-  const int idle_color = static_cast<int>(jobs.size());
-  try {
-    world.run([&](comm::Comm& wc) {
-      const int j = rank_to_job[static_cast<std::size_t>(wc.rank())];
-      // One collective split partitions the world into the per-job groups
-      // (key = world rank, so sub ranks are world-rank-ordered exactly as
-      // the solo guard split orders them). The split is ledger-muted setup,
-      // so per-job measured volumes match a solo run bit for bit.
-      comm::Comm sub = wc.split(j >= 0 ? j : idle_color, wc.rank());
-      if (j < 0) return;
-      BatchJob& job = jobs[static_cast<std::size_t>(j)];
-      core::internal::run_syrk_plan_rank(sub, job.exec.a(), job.st->plan,
-                                         job.st->request.options,
-                                         job.exec.c());
-    });
-  } catch (...) {
-    // A rank failure poisons the whole world, taking the innocent
-    // batch-mates down with RankAborted. Re-run every job of the round
-    // solo: the guilty job reports its real error, the others complete
-    // normally (their solo ledger scope starts at a fresh snapshot, so the
-    // poisoned round's partial traffic never leaks into a result; the
-    // trace sink likewise discards undrained events at the next job start).
-    for (const auto& st : batch) run_solo(st, /*retry=*/true);
-    return;
-  }
-
-  std::optional<comm::JobTrace> round_trace;
-  if (traced) round_trace = world.trace_sink()->drain(/*poisoned=*/false);
-
-  const comm::CostLedger& ledger = world.ledger();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    BatchJob& job = jobs[j];
-    const Matrix& a = *job.st->request.a;
-    const int lo = job.base;
-    const int hi = job.base + job.procs;
-    core::SyrkRun run;
-    run.plan = job.st->plan;
-    run.c = job.exec.take_result();
-    run.total = ledger.summary_since(before, lo, hi);
-    run.gather_a =
-        ledger.summary_since(before, core::internal::kPhaseGatherA, lo, hi);
-    run.reduce_c =
-        ledger.summary_since(before, core::internal::kPhaseReduceC, lo, hi);
-    run.scatter_a =
-        ledger.summary_since(before, core::internal::kPhaseScatterA, lo, hi);
-    if (a.rows() >= 2) {
-      run.bound =
-          bounds::syrk_lower_bound(a.rows(), a.cols(), run.plan.procs);
-    }
-    if (job.st->request.trace) {
-      run.trace = comm::extract_rank_range(*round_trace, lo, hi);
-    }
-    finish(batch[j], std::move(run), /*batched=*/true, job.base);
   }
 }
 

@@ -1,4 +1,4 @@
-// High-throughput SYRK service: an asynchronous, batching front end over
+// High-throughput SYRK service: an asynchronous, streaming front end over
 // core::Session.
 //
 //   service::SyrkService svc({.procs = 12});
@@ -10,23 +10,25 @@
 //
 //   - a PlanCache installed as the session's plan resolver, so repeated
 //     shapes skip the PR 3 enumerator (hit/miss counters in stats());
-//   - a batch scheduler (scheduler.hpp) that packs queued small/medium
-//     requests onto disjoint rank subsets and runs them as ONE world job —
-//     a single dispatch handoff to the parked worker pool amortized over
-//     the whole round — while folded/full-size jobs run solo;
-//   - admission control bounding the modeled αβγ cost in flight per round,
-//     so a huge request cannot starve the small ones queued behind it.
+//   - a streaming executor (plan_stream_step in scheduler.hpp) that
+//     launches queued small/medium requests FIFO onto disjoint free rank
+//     subsets of the session's world the moment ranks drain
+//     (World::launch_ranks), while folded and topology'd jobs run solo;
+//   - admission control bounding the modeled αβγ cost and the number of
+//     jobs in flight, so a huge request cannot starve the small ones queued
+//     behind it.
 //
-// Every accounting guarantee of the solo path survives batching: a job
-// packed at any base rank produces bitwise-identical result matrices,
+// Every accounting guarantee of the solo path survives streaming: a job
+// launched at any base rank produces bitwise-identical result matrices,
 // per-job ledger summaries (rank-range-restricted snapshot diffs), and
 // per-job traces (rank-range extraction with rebasing) to the same request
-// run solo on an equally sized session. test_service pins this down.
+// run solo on an equally sized session. test_scheduler_stream pins this
+// down.
 //
 // Blocking use is submit+wait — SyrkService::syrk(req) is exactly that, and
 // core::syrk(session, req) remains the single underlying execution path
-// (the service's solo rounds call it directly; batched rounds share its
-// rank-level internals).
+// (solo jobs call it directly; streamed jobs share its rank-level
+// internals).
 #pragma once
 
 #include <chrono>
@@ -47,8 +49,8 @@
 namespace parsyrk::service {
 
 enum class TicketStatus {
-  kQueued,   // submitted, not yet dispatched into a round
-  kRunning,  // executing in the current round
+  kQueued,   // submitted, not yet dispatched
+  kRunning,  // dispatched, executing on its rank subset
   kDone,     // result available
   kFailed,   // wait()/try_get() rethrow the error
 };
@@ -57,8 +59,8 @@ const char* ticket_status_name(TicketStatus s);
 
 /// Wall-clock latency decomposition of one request, plus its modeled cost.
 struct RequestLatency {
-  double queue_seconds = 0.0;    // submit -> round dispatch
-  double service_seconds = 0.0;  // round dispatch -> completion
+  double queue_seconds = 0.0;    // submit -> dispatch
+  double service_seconds = 0.0;  // dispatch -> completion
   double total_seconds = 0.0;    // submit -> completion
   /// Planner-modeled runtime of the executed plan (admission currency).
   double modeled_seconds = 0.0;
@@ -70,12 +72,14 @@ struct SyrkResult {
   /// Theorem-1 bound audit, present when the request asked with_audit().
   std::optional<trace::AuditReport> audit;
   RequestLatency latency;
-  /// Whether the job shared its round with others (solo otherwise).
+  /// Whether another job was in flight on the world at any point of this
+  /// job's flight (false for solo jobs).
   bool batched = false;
-  /// First world rank of the job's subset within its round (0 for solo).
+  /// First world rank of the job's subset (0 for solo).
   int base_rank = 0;
-  /// 1-based completion sequence number across the service's lifetime;
-  /// FIFO fairness means these come out in submission order.
+  /// 1-based completion sequence number across the service's lifetime,
+  /// distinct per job. Dispatch is FIFO; completion is not (a short job
+  /// launched after a straggler may finish first).
   std::uint64_t completion_seq = 0;
 };
 
@@ -111,20 +115,12 @@ class SyrkTicket {
 struct ServiceOptions {
   /// Worker (world) size of the service's session. Required.
   int procs = 0;
-  /// When false, every job runs solo (the serialized baseline the
-  /// throughput bench compares against). Forces SchedMode::kRounds.
-  bool batching = true;
-  /// How the queue executes: barrier-synchronized plan_round batches, or
-  /// the continuous streaming scheduler that dispatches the next FIFO job
-  /// the moment a rank subset drains. Streaming is the default — it is
-  /// work-conserving and keeps every per-job accounting guarantee — but
-  /// completion order is no longer globally FIFO (a short job placed after
-  /// a straggler may finish first; dispatch order stays FIFO).
-  SchedMode scheduler = SchedMode::kStreaming;
+  /// What may be in flight at once. max_jobs_per_round = 1 runs one job
+  /// at a time.
   AdmissionLimits admission;
   /// Plan-search options for planner-path requests (and the cache key).
-  /// Services that want maximal packing typically disable folding — folded
-  /// plans cannot share a round.
+  /// Services that want maximal concurrency typically disable folding —
+  /// folded plans run solo.
   core::PlanSearchOptions plan_options;
   /// Worker pool to lease from (nullptr = the process-shared pool).
   comm::WorkerPool* pool = nullptr;
@@ -134,21 +130,20 @@ struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
-  std::uint64_t rounds = 0;          // world jobs dispatched
-  std::uint64_t batched_rounds = 0;  // rounds carrying >= 2 jobs
+  std::uint64_t rounds = 0;  // jobs dispatched (streamed or solo)
+  /// Completed jobs that shared the world with another in-flight job.
   std::uint64_t batched_jobs = 0;
   std::uint64_t solo_jobs = 0;
-  /// Jobs rerun solo after a batch-mate poisoned their round.
+  /// Jobs rerun solo after a failing job poisoned the world under them.
   std::uint64_t retried_jobs = 0;
   /// Jobs executed with pipelined chunked collectives (with_pipeline).
   std::uint64_t pipelined_jobs = 0;
-  /// Streamed jobs dispatched while at least one other job was mid-flight
-  /// (the mid-round interleaving the round-barrier executor could not do).
+  /// Streamed jobs dispatched while at least one other job was mid-flight.
   std::uint64_t interleaved_jobs = 0;
   /// Work-conservation gap: summed idle rank-seconds between a rank
   /// becoming free (or the dispatched job being submitted, whichever is
-  /// later) and its next streamed dispatch. Zero in rounds mode; small
-  /// values mean the streaming scheduler is keeping freed ranks fed.
+  /// later) and its next streamed dispatch. Small values mean the
+  /// scheduler is keeping freed ranks fed.
   double scheduler_gap_seconds = 0.0;
   double total_queue_seconds = 0.0;
   double total_service_seconds = 0.0;
@@ -156,7 +151,7 @@ struct ServiceStats {
 };
 
 /// The concurrent SYRK front end. submit() is thread-safe; one internal
-/// scheduler thread owns the session and executes rounds FIFO.
+/// scheduler thread owns the session and dispatches jobs FIFO.
 class SyrkService {
  public:
   explicit SyrkService(ServiceOptions options);
@@ -196,14 +191,10 @@ class SyrkService {
   core::Session& session() { return *session_; }
 
  private:
-  struct BatchJob;
   struct StreamJob;
 
-  void scheduler_loop();
-  /// PR 6 executor: barrier-synchronized plan_round batches.
-  void rounds_loop(std::unique_lock<std::mutex>& lock);
-  /// Continuous executor: dispatches FIFO jobs onto freed rank subsets via
-  /// World::launch_ranks, reaping completions as they land.
+  /// The scheduler thread's body: dispatches FIFO jobs onto freed rank
+  /// subsets via World::launch_ranks, reaping completions as they land.
   void streaming_loop(std::unique_lock<std::mutex>& lock);
   /// Finalizes one cleanly-completed streamed job: rank-range ledger
   /// summaries, range trace drain + extraction, result truncation, finish().
@@ -212,12 +203,9 @@ class SyrkService {
   /// Resolves the ticket's plan/modeled cost against the current session.
   /// Returns false (ticket failed) when the request is invalid.
   bool admit(detail::TicketState& st);
-  void execute_round(std::vector<std::shared_ptr<detail::TicketState>> batch,
-                     const RoundPlan& round);
+  /// Runs one job alone through core::syrk: folded and topology'd jobs,
+  /// and casualties of a poisoned stream (retry = true).
   void run_solo(const std::shared_ptr<detail::TicketState>& st, bool retry);
-  void run_batched(
-      const std::vector<std::shared_ptr<detail::TicketState>>& batch,
-      const RoundPlan& round);
   void finish(const std::shared_ptr<detail::TicketState>& st,
               core::SyrkRun run, bool batched, int base_rank);
   void fail(const std::shared_ptr<detail::TicketState>& st,
@@ -233,7 +221,7 @@ class SyrkService {
   std::condition_variable work_cv_;  // scheduler wakeup
   std::condition_variable idle_cv_;  // drain() wakeup
   std::deque<std::shared_ptr<detail::TicketState>> queue_;
-  bool round_in_flight_ = false;
+  bool work_in_flight_ = false;
   bool stop_ = false;
   ServiceStats stats_;
   std::uint64_t completion_seq_ = 0;

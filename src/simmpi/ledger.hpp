@@ -158,15 +158,16 @@ class CostLedger {
   CostSummary summary_since(const Snapshot& since,
                             const std::string& phase) const;
 
-  // ---- Rank-range accounting (batched-round support) ----
+  // ---- Rank-range accounting (streamed-job support) ----
   //
-  // When several jobs share one world job on disjoint rank ranges (the
-  // service layer's batched rounds), each job's traffic lives entirely in
-  // its range [rank_begin, rank_end). The range variants restrict the sum
-  // and the per-bucket max to that range while keeping CostSummary::ranks
-  // at the world's processor count — so a job placed at any base rank
-  // summarizes identically to the same job run solo on this world (where
-  // the ranks outside its active set record nothing). Unfolded worlds only.
+  // When several jobs share one world on disjoint rank ranges (the service
+  // layer's streamed jobs, launched through World::launch_ranks), each
+  // job's traffic lives entirely in its range [rank_begin, rank_end). The
+  // range variants restrict the sum and the per-bucket max to that range
+  // while keeping CostSummary::ranks at the world's processor count — so a
+  // job placed at any base rank summarizes identically to the same job run
+  // solo on this world (where the ranks outside its active set record
+  // nothing). Unfolded worlds only.
 
   CostSummary summary_since(const Snapshot& since, int rank_begin,
                             int rank_end) const;

@@ -25,19 +25,19 @@ const char* op_kind_name(OpKind k) {
   return "unknown";
 }
 
-JobTrace extract_rank_range(const JobTrace& round, int rank_begin,
+JobTrace extract_rank_range(const JobTrace& world_trace, int rank_begin,
                             int rank_end) {
   PARSYRK_CHECK(rank_begin >= 0 && rank_begin <= rank_end &&
-                rank_end <= static_cast<int>(round.ranks));
+                rank_end <= static_cast<int>(world_trace.ranks));
   JobTrace t;
-  t.job_id = round.job_id;
-  t.ranks = round.ranks;
-  t.physical_ranks = round.physical_ranks;
-  t.ranks_per_node = round.ranks_per_node;
-  t.poisoned = round.poisoned;
-  t.dropped = round.dropped;
-  std::vector<bool> used(round.phases.size(), false);
-  for (const TraceEvent& e : round.events) {
+  t.job_id = world_trace.job_id;
+  t.ranks = world_trace.ranks;
+  t.physical_ranks = world_trace.physical_ranks;
+  t.ranks_per_node = world_trace.ranks_per_node;
+  t.poisoned = world_trace.poisoned;
+  t.dropped = world_trace.dropped;
+  std::vector<bool> used(world_trace.phases.size(), false);
+  for (const TraceEvent& e : world_trace.events) {
     if (e.rank < rank_begin || e.rank >= rank_end) continue;
     TraceEvent out = e;
     out.rank -= rank_begin;
@@ -45,19 +45,20 @@ JobTrace extract_rank_range(const JobTrace& round, int rank_begin,
     t.events.push_back(out);
     used[e.phase] = true;
   }
-  for (const OverlapInterval& o : round.overlaps) {
+  for (const OverlapInterval& o : world_trace.overlaps) {
     if (o.rank < rank_begin || o.rank >= rank_end) continue;
     OverlapInterval out = o;
     out.rank -= rank_begin;
     t.overlaps.push_back(out);
   }
   // Rebuild the canonical phase table from the phases this range used; the
-  // round table is sorted by name, so the filtered subset stays sorted.
-  std::vector<std::uint32_t> remap(round.phases.size(), 0);
-  for (std::size_t i = 0; i < round.phases.size(); ++i) {
+  // world trace's table is sorted by name, so the filtered subset stays
+  // sorted.
+  std::vector<std::uint32_t> remap(world_trace.phases.size(), 0);
+  for (std::size_t i = 0; i < world_trace.phases.size(); ++i) {
     if (!used[i]) continue;
     remap[i] = static_cast<std::uint32_t>(t.phases.size());
-    t.phases.push_back(round.phases[i]);
+    t.phases.push_back(world_trace.phases[i]);
   }
   for (TraceEvent& e : t.events) e.phase = remap[e.phase];
   return t;

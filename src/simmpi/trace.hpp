@@ -119,14 +119,14 @@ struct JobTrace {
 };
 
 /// Extracts the sub-trace of world ranks [rank_begin, rank_end) from a
-/// round trace: events recorded by ranks inside the range, with rank and
-/// peer rebased by -rank_begin and the canonical phase table rebuilt from
-/// the phases the extracted events actually use. When the range hosted one
-/// job of a batched round (disjoint-range jobs never message across range
+/// world-shaped trace: events recorded by ranks inside the range, with rank
+/// and peer rebased by -rank_begin and the canonical phase table rebuilt
+/// from the phases the extracted events actually use. When the range hosted
+/// one streamed job (disjoint-range jobs never message across range
 /// boundaries), the result is bitwise identical — job_id aside — to the
 /// trace of the same job run solo on a world of the same size, which is
-/// what lets batched rounds keep the golden-trace guarantees per job.
-JobTrace extract_rank_range(const JobTrace& round, int rank_begin,
+/// what lets streamed jobs keep the golden-trace guarantees per job.
+JobTrace extract_rank_range(const JobTrace& world_trace, int rank_begin,
                             int rank_end);
 
 namespace detail {

@@ -368,7 +368,6 @@ TEST_P(FuzzStreamService, RandomWorkloadsMatchSoloBitwise) {
   service::ServiceOptions opts;
   opts.procs = procs;
   opts.plan_options.allow_folding = false;
-  opts.scheduler = service::SchedMode::kStreaming;
   service::SyrkService svc(opts);
 
   std::vector<service::SyrkTicket> tickets;

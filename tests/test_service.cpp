@@ -1,10 +1,12 @@
-// Service-layer tests: plan_round packing policy, PlanCache hit/miss and
-// invalidation semantics, and SyrkService end-to-end — ticket lifecycle,
-// FIFO fairness, batch-vs-solo bitwise equivalence, poisoned-round retry,
-// and a multithreaded submitter stress (the tsan preset runs this suite).
+// Service-layer tests: PlanCache hit/miss and invalidation semantics, and
+// SyrkService end-to-end — ticket lifecycle, FIFO dispatch order,
+// streamed-vs-solo bitwise equivalence, poisoned-job retry, and a
+// multithreaded submitter stress (the tsan preset runs this suite).
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -12,7 +14,6 @@
 #include "matrix/kernels.hpp"
 #include "matrix/random.hpp"
 #include "service/plan_cache.hpp"
-#include "service/scheduler.hpp"
 #include "service/service.hpp"
 #include "support/check.hpp"
 
@@ -28,76 +29,6 @@ bool bitwise_equal(const Matrix& x, const Matrix& y) {
     }
   }
   return true;
-}
-
-service::JobSpec spec(std::uint64_t ranks, double modeled = 1e-6,
-                      bool solo = false) {
-  service::JobSpec s;
-  s.ranks = ranks;
-  s.modeled_seconds = modeled;
-  s.solo = solo;
-  return s;
-}
-
-// ---- plan_round: the pure packing policy ----
-
-TEST(PlanRound, PacksFifoPrefixUntilRanksRunOut) {
-  const std::vector<service::JobSpec> q = {spec(4), spec(4), spec(4),
-                                           spec(6), spec(2)};
-  const auto round = service::plan_round(q, 12, {});
-  // Strict FIFO: job 3 (6 ranks) does not fit after 4+4+4; job 4 would,
-  // but skipping ahead is exactly what the policy forbids.
-  ASSERT_EQ(round.placements.size(), 3u);
-  EXPECT_EQ(round.placements[0].job, 0u);
-  EXPECT_EQ(round.placements[0].base_rank, 0);
-  EXPECT_EQ(round.placements[1].base_rank, 4);
-  EXPECT_EQ(round.placements[2].base_rank, 8);
-}
-
-TEST(PlanRound, HeadIsAlwaysPlacedEvenOverBudget) {
-  service::AdmissionLimits limits;
-  limits.modeled_seconds_per_round = 1e-9;
-  const std::vector<service::JobSpec> q = {spec(4, 1.0), spec(2, 1e-12)};
-  const auto round = service::plan_round(q, 12, limits);
-  // The over-budget head is exempt (it must run eventually and blocking it
-  // forever would deadlock) AND it does not consume the round budget: the
-  // tiny follower fits on the leftover ranks instead of stalling behind it.
-  ASSERT_EQ(round.placements.size(), 2u);
-  EXPECT_EQ(round.placements[0].job, 0u);
-  EXPECT_EQ(round.placements[1].job, 1u);
-  EXPECT_EQ(round.placements[1].base_rank, 4);
-  // modeled_sum_seconds still reports the true in-flight cost.
-  EXPECT_DOUBLE_EQ(round.modeled_sum_seconds, 1.0 + 1e-12);
-
-  // A follower that itself exceeds the budget still breaks the round: the
-  // exemption is for the head only.
-  const std::vector<service::JobSpec> q2 = {spec(4, 1.0), spec(2, 1.0)};
-  ASSERT_EQ(service::plan_round(q2, 12, limits).placements.size(), 1u);
-}
-
-TEST(PlanRound, BudgetStopsPacking) {
-  service::AdmissionLimits limits;
-  limits.modeled_seconds_per_round = 0.05;
-  const std::vector<service::JobSpec> q = {spec(2, 0.03), spec(2, 0.03),
-                                           spec(2, 0.03)};
-  const auto round = service::plan_round(q, 12, limits);
-  EXPECT_EQ(round.placements.size(), 1u);
-  EXPECT_DOUBLE_EQ(round.modeled_sum_seconds, 0.03);
-}
-
-TEST(PlanRound, SoloJobsNeverShareARound) {
-  const std::vector<service::JobSpec> q1 = {spec(2), spec(4, 1e-6, true)};
-  EXPECT_EQ(service::plan_round(q1, 12, {}).placements.size(), 1u);
-  // A solo head runs alone even though the next job would fit.
-  const std::vector<service::JobSpec> q2 = {spec(4, 1e-6, true), spec(2)};
-  EXPECT_EQ(service::plan_round(q2, 12, {}).placements.size(), 1u);
-}
-
-TEST(PlanRound, JobCapBoundsRound) {
-  service::AdmissionLimits limits;
-  limits.max_jobs_per_round = 2;
-  const std::vector<service::JobSpec> q = {spec(2), spec(2), spec(2)};
-  EXPECT_EQ(service::plan_round(q, 12, limits).placements.size(), 2u);
 }
 
 // ---- PlanCache ----
@@ -238,13 +169,11 @@ TEST(SyrkService, ResizeInvalidatesCachedPlans) {
             1e-9);
 }
 
-TEST(SyrkService, CompletionOrderIsFifoAcrossMixedSizes) {
-  // Global completion-order FIFO is a rounds-mode guarantee; the streaming
-  // scheduler keeps dispatch FIFO but lets short jobs finish ahead of
-  // stragglers (test_scheduler_stream covers that mode).
-  auto opts = packable_options(12);
-  opts.scheduler = service::SchedMode::kRounds;
-  service::SyrkService svc(opts);
+TEST(SyrkService, DispatchOrderIsFifoAcrossMixedSizes) {
+  // Full-size jobs interleaved with small ones. Completion order is free (a
+  // small job launched beside a straggler may finish first), but dispatch
+  // is strictly FIFO: no job may start before one submitted ahead of it.
+  service::SyrkService svc(packable_options(12));
   const std::uint64_t caps[] = {2, 12, 3, 6, 4, 2, 12, 3};
   const int jobs = 24;
   std::vector<Matrix> inputs;
@@ -255,11 +184,25 @@ TEST(SyrkService, CompletionOrderIsFifoAcrossMixedSizes) {
     tickets.push_back(svc.submit(
         core::SyrkRequest(inputs.back()).on_procs(caps[j % 8])));
   }
-  // Full-size jobs interleaved with packable ones must not be overtaken:
-  // completion sequence == submission order, ticket by ticket.
+  std::vector<std::uint64_t> seqs;
+  for (auto& t : tickets) seqs.push_back(t.wait().completion_seq);
+  svc.drain();
+
+  // Each timeline interval carries its job's completion_seq as job_id.
+  const auto tl = svc.timeline();
+  ASSERT_EQ(tl.intervals().size(), static_cast<std::size_t>(jobs));
+  std::map<std::uint64_t, double> start_of;
+  for (const auto& iv : tl.intervals()) {
+    EXPECT_TRUE(start_of.emplace(iv.job_id, iv.start_seconds).second)
+        << "duplicate job_id " << iv.job_id;
+  }
+  double prev_start = -std::numeric_limits<double>::infinity();
   for (int j = 0; j < jobs; ++j) {
-    EXPECT_EQ(tickets[j].wait().completion_seq,
-              static_cast<std::uint64_t>(j + 1));
+    const auto it = start_of.find(seqs[static_cast<std::size_t>(j)]);
+    ASSERT_NE(it, start_of.end()) << "job " << j << " has no interval";
+    EXPECT_GE(it->second, prev_start)
+        << "job " << j << " started before job " << j - 1;
+    prev_start = it->second;
   }
 }
 
@@ -279,7 +222,7 @@ TEST(SyrkService, BatchedJobsMatchSoloRunsBitwise) {
   std::vector<service::SyrkResult> results;
   for (auto& t : tickets) results.push_back(t.wait());
   svc.drain();
-  EXPECT_GE(svc.stats().batched_rounds, 1u);
+  EXPECT_GE(svc.stats().interleaved_jobs, 1u);
 
   // Solo references on an equally sized session with the same options.
   core::Session solo(12);
@@ -293,7 +236,7 @@ TEST(SyrkService, BatchedJobsMatchSoloRunsBitwise) {
     const auto& run = results[j].run;
     any_batched = any_batched || results[j].batched;
     EXPECT_TRUE(bitwise_equal(run.c, ref.c)) << "job " << j;
-    // Per-job ledger scope: rank-range summaries of the shared round equal
+    // Per-job ledger scope: rank-range summaries of the shared world equal
     // the solo run's whole-world summaries, counter for counter.
     EXPECT_EQ(run.total.total, ref.total.total) << "job " << j;
     EXPECT_EQ(run.total.max, ref.total.max) << "job " << j;
@@ -312,7 +255,7 @@ TEST(SyrkService, BatchedJobsMatchSoloRunsBitwise) {
 TEST(SyrkService, PoisonedRoundRetriesInnocentJobsSolo) {
   service::SyrkService svc(packable_options(12));
   // 18 % 2² != 0: the 2D kernel rejects this inside the SPMD body, after
-  // batching decisions are made — the whole round's world job is poisoned.
+  // dispatch decisions are made — the failure poisons the whole world.
   Matrix bad_a = random_matrix(18, 8, 5);
   Matrix good_a = random_matrix(24, 48, 6);
   auto bad = svc.submit(core::SyrkRequest(bad_a).use_2d(2));
@@ -325,10 +268,10 @@ TEST(SyrkService, PoisonedRoundRetriesInnocentJobsSolo) {
   svc.drain();
   const auto st = svc.stats();
   EXPECT_EQ(st.failed, 1u);
-  // Both round members were retried solo (where the guilty one failed for
-  // real and the innocent one completed) — unless the scheduler happened to
-  // run them in separate rounds, in which case no retry was needed.
-  if (st.batched_rounds > 0) EXPECT_EQ(st.retried_jobs, 2u);
+  // Both jobs were retried solo (where the guilty one failed for real and
+  // the innocent one completed) — unless the scheduler happened to run
+  // them one after the other, in which case no retry was needed.
+  if (st.interleaved_jobs > 0) EXPECT_EQ(st.retried_jobs, 2u);
 
   // The session world recovered: later jobs run normally.
   const auto again = svc.syrk(core::SyrkRequest(good_a).on_procs(4));
@@ -377,12 +320,12 @@ TEST(SyrkService, MultithreadedSubmittersAllComplete) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined jobs through the service (overlap stress + poisoned rounds)
+// Pipelined jobs through the service (overlap stress + poisoned world)
 // ---------------------------------------------------------------------------
 
 TEST(SyrkService, PipelinedJobsOverlapStressMatchesSoloBitwise) {
   // Concurrent submitters flood the service with with_pipeline jobs at
-  // mixed chunk counts; batched rounds execute their chunked collectives
+  // mixed chunk counts; streamed jobs execute their chunked collectives
   // with overlap. Every result must still be bitwise-identical to the same
   // request run solo, and the ledger scoping must survive the in-flight
   // chunk traffic (the eager-posting attribution rule).
@@ -442,9 +385,9 @@ TEST(SyrkService, PipelinedJobsOverlapStressMatchesSoloBitwise) {
 
 TEST(SyrkService, PoisonedRoundRetriesPipelinedInnocentsBitwise) {
   // The guilty job is itself pipelined: the 2D kernel's n1 % c² rejection
-  // fires inside the SPMD body, after batching — so the round is poisoned
+  // fires inside the SPMD body, after dispatch — so the world is poisoned
   // while the innocent's chunked collectives are (potentially) in flight.
-  // Recovery must tear the whole world job down, and the innocent's solo
+  // Recovery must tear every in-flight job down, and the innocent's solo
   // retry must be bitwise-identical to a clean solo run.
   service::SyrkService svc(packable_options(12));
   Matrix bad_a = random_matrix(18, 8, 5);     // 18 % 2² != 0
@@ -457,10 +400,10 @@ TEST(SyrkService, PoisonedRoundRetriesPipelinedInnocentsBitwise) {
   EXPECT_THROW(bad.wait(), InvalidArgument);
   const auto r1 = g1.wait();
   svc.drain();
-  // With exactly two jobs in flight, a batched round can only have been
-  // the poisoned one — so batching implies both members were retried solo.
+  // With exactly two jobs submitted, interleaving means both were in flight
+  // when the guilty one poisoned the world — so both were retried solo.
   const auto st_mid = svc.stats();
-  if (st_mid.batched_rounds > 0) EXPECT_EQ(st_mid.retried_jobs, 2u);
+  if (st_mid.interleaved_jobs > 0) EXPECT_EQ(st_mid.retried_jobs, 2u);
 
   // Post-recovery: a fresh pipelined job runs on the recovered world.
   auto g2 =
@@ -535,8 +478,8 @@ TEST(SyrkService, TopologyParticipatesInPlanCacheKey) {
 
 TEST(SyrkService, TopologyRequestsRunSoloWithNodeAccounting) {
   // A topology'd request stamps its rpn on the shared session world, so it
-  // must never share a round; the result carries the node count and the
-  // per-node inter summary, and batched flat jobs are unaffected.
+  // must never share the world; the result carries the node count and the
+  // per-node inter summary, and streamed flat jobs are unaffected.
   service::SyrkService svc(packable_options(8));
   Matrix a = random_matrix(16, 24, 9);
   Matrix b = random_matrix(20, 12, 4);
@@ -552,7 +495,7 @@ TEST(SyrkService, TopologyRequestsRunSoloWithNodeAccounting) {
   EXPECT_FALSE(rt.batched);
   EXPECT_EQ(rt.run.nodes, 4);
   EXPECT_GT(rt.run.total_inter.max.words_sent, 0u);
-  // Flat jobs (whether batched or solo) never report a topology.
+  // Flat jobs (whether streamed or solo) never report a topology.
   EXPECT_EQ(r1.run.nodes, 0);
   EXPECT_EQ(r2.run.nodes, 0);
 

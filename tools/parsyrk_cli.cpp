@@ -135,15 +135,15 @@ double percentile(std::vector<double> v, double q) {
 }
 
 /// --serve: replay a deterministic mixed small/medium/large workload
-/// through service::SyrkService (async submit, batched rounds, plan cache)
-/// and print throughput, latency percentiles, and scheduler/cache stats.
-int run_serve(int procs, int jobs, std::uint64_t seed, bool audit,
-              service::SchedMode sched) {
+/// through service::SyrkService (async submit, streamed dispatch, plan
+/// cache) and print throughput, latency percentiles, and scheduler/cache
+/// stats.
+int run_serve(int procs, int jobs, std::uint64_t seed, bool audit) {
   struct ShapeSpec {
     std::uint64_t n1, n2, cap;
   };
-  // Small jobs at caps that pack several to a round, plus a full-size job
-  // every few requests that must run solo.
+  // Small jobs at caps that run several side by side, plus a full-size job
+  // every few requests that needs the whole world.
   const std::vector<ShapeSpec> mix = {
       {16, 64, 2},
       {24, 96, 3},
@@ -153,7 +153,6 @@ int run_serve(int procs, int jobs, std::uint64_t seed, bool audit,
   };
   service::ServiceOptions opts;
   opts.procs = procs;
-  opts.scheduler = sched;
   service::SyrkService svc(opts);
 
   // The service references request matrices; reserve so growth never moves
@@ -175,8 +174,6 @@ int run_serve(int procs, int jobs, std::uint64_t seed, bool audit,
 
   double max_err = 0.0;
   int audit_violations = 0;
-  bool fifo = true;
-  std::uint64_t prev_seq = 0;
   std::vector<std::uint64_t> seqs;
   std::vector<double> queue_s, total_s;
   std::uint64_t batched = 0;
@@ -185,35 +182,27 @@ int run_serve(int procs, int jobs, std::uint64_t seed, bool audit,
     max_err = std::max(max_err, max_abs_diff(
         r.run.c.view(), syrk_reference(inputs[j].view()).view()));
     if (r.audit && !r.audit->ok()) ++audit_violations;
-    if (r.completion_seq < prev_seq) fifo = false;
-    prev_seq = r.completion_seq;
     seqs.push_back(r.completion_seq);
     queue_s.push_back(r.latency.queue_seconds);
     total_s.push_back(r.latency.total_seconds);
     if (r.batched) ++batched;
   }
-  // Rounds mode completes strictly in submission order; streaming may
-  // legitimately finish a small follower before a long-running straggler,
-  // so there only the completion sequence numbers must be distinct.
+  // A small follower may legitimately finish before a long-running
+  // straggler, so only the completion sequence numbers must be distinct.
   std::sort(seqs.begin(), seqs.end());
   const bool seqs_distinct =
       std::adjacent_find(seqs.begin(), seqs.end()) == seqs.end();
-  const bool order_ok =
-      sched == service::SchedMode::kRounds ? fifo : seqs_distinct;
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
   const auto st = svc.stats();
   Table t({"metric", "value"});
-  t.add_row({"scheduler", sched == service::SchedMode::kRounds
-                              ? "rounds (barrier)"
-                              : "streaming (work-conserving)"});
   t.add_row({"requests", std::to_string(st.completed)});
   t.add_row({"throughput (req/s)",
              fmt_double(static_cast<double>(jobs) / wall, 6)});
-  t.add_row({"rounds", std::to_string(st.rounds)});
-  t.add_row({"rounds with >= 2 jobs", std::to_string(st.batched_rounds)});
+  t.add_row({"dispatches", std::to_string(st.rounds)});
+  t.add_row({"interleaved jobs", std::to_string(st.interleaved_jobs)});
   t.add_row({"jobs batched / solo", std::to_string(st.batched_jobs) + " / " +
                                         std::to_string(st.solo_jobs)});
   t.add_row({"plan cache hits / misses",
@@ -225,14 +214,10 @@ int run_serve(int procs, int jobs, std::uint64_t seed, bool audit,
   t.add_row({"total p50 / p99 (us)",
              fmt_double(1e6 * percentile(total_s, 0.5), 5) + " / " +
                  fmt_double(1e6 * percentile(total_s, 0.99), 5)});
-  if (sched == service::SchedMode::kStreaming) {
-    t.add_row({"interleaved jobs", std::to_string(st.interleaved_jobs)});
-    t.add_row({"scheduler gap (rank-us)",
-               fmt_double(1e6 * st.scheduler_gap_seconds, 5)});
-  }
-  t.add_row({"completion order",
-             fifo ? "FIFO"
-                  : (order_ok ? "out of order (streaming)" : "CORRUPT")});
+  t.add_row({"scheduler gap (rank-us)",
+             fmt_double(1e6 * st.scheduler_gap_seconds, 5)});
+  t.add_row({"completion sequence numbers",
+             seqs_distinct ? "distinct" : "CORRUPT (repeated)"});
   if (audit) {
     t.add_row({"Theorem-1 audit violations",
                std::to_string(audit_violations)});
@@ -240,7 +225,7 @@ int run_serve(int procs, int jobs, std::uint64_t seed, bool audit,
   t.print(std::cout);
   std::cout << "max |C - AAᵀ| over all requests = " << max_err << "\n";
   const bool ok =
-      max_err < 1e-8 && order_ok && audit_violations == 0 && batched > 0;
+      max_err < 1e-8 && seqs_distinct && audit_violations == 0 && batched > 0;
   return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }
 
@@ -275,12 +260,9 @@ int main(int argc, char** argv) {
   cli.add_flag("trace-out", "write the run's per-message trace as Chrome "
                "tracing JSON to this file (syrk only)", std::nullopt);
   cli.add_flag("serve", "replay a mixed synthetic SYRK workload through the "
-               "async batching service and print throughput, latency, and "
+               "async streaming service and print throughput, latency, and "
                "plan-cache stats");
   cli.add_flag("jobs", "request count for --serve", "60");
-  cli.add_flag("sched", "--serve executor: streaming (work-conserving "
-               "mid-round interleaving, the default) | rounds (barrier "
-               "batching)", "streaming");
   cli.add_flag("help", "print this help");
   try {
     cli.parse(argc, argv);
@@ -332,15 +314,9 @@ int main(int argc, char** argv) {
 
     if (op == "bound") return run_bound(n1, n2, procs);
     if (cli.has("serve") && cli.get("serve") == "true") {
-      const std::string sched = cli.get("sched");
-      PARSYRK_REQUIRE(sched == "streaming" || sched == "rounds",
-                      "unknown --sched ", sched,
-                      " (want streaming | rounds)");
       return run_serve(static_cast<int>(procs),
                        static_cast<int>(cli.get_int("jobs")), seed,
-                       cli.has("audit") && cli.get("audit") == "true",
-                       sched == "rounds" ? service::SchedMode::kRounds
-                                         : service::SchedMode::kStreaming);
+                       cli.has("audit") && cli.get("audit") == "true");
     }
 
     const auto memory = static_cast<std::uint64_t>(cli.get_int("memory"));
