@@ -6,7 +6,6 @@
 #include "distribution/block1d.hpp"
 #include "distribution/triangle_block.hpp"
 #include "matrix/kernels.hpp"
-#include "matrix/packed.hpp"
 #include "support/check.hpp"
 
 namespace parsyrk::core {
@@ -123,28 +122,15 @@ Matrix syr2k_1d(comm::World& world, const Matrix& a, const Matrix& b) {
   PARSYRK_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(),
                   "SYR2K needs same-shape A and B");
   const std::size_t n1 = a.rows();
-  const std::size_t n2 = a.cols();
   Matrix c_full(n1, n1);
   world.run([&](comm::Comm& comm) {
-    const int p = comm.size();
-    const int r = comm.rank();
-    const std::size_t c0 = dist::chunk_begin(n2, p, r);
-    const std::size_t cw = dist::chunk_size(n2, p, r);
-    Matrix cbar(n1, n1);
-    if (cw > 0) {
-      syr2k_lower(a.view().block(0, c0, n1, cw),
-                  b.view().block(0, c0, n1, cw), cbar.view());
-    }
-    PackedLower packed = PackedLower::from_full(cbar.view());
-    comm.set_phase(internal::kPhaseReduceC);
-    std::vector<std::size_t> sizes(p);
-    for (int q = 0; q < p; ++q) {
-      sizes[q] = dist::chunk_size(packed.size(), p, q);
-    }
-    internal::PackedChunk chunk;
-    chunk.offset = dist::chunk_begin(packed.size(), p, r);
-    chunk.data = comm.reduce_scatter(packed.span(), sizes);
-    internal::scatter_packed_to_full(chunk, c_full);
+    // Local SYR2K straight into the packed send buffer, as in Alg. 1.
+    constexpr auto kPairwise = internal::ReduceKind::kPairwise;
+    std::vector<double> packed =
+        internal::packed_triangle_buffer(n1, comm.size(), kPairwise);
+    syr2k_lower_packed(internal::column_block_1d(comm, a.view()),
+                       internal::column_block_1d(comm, b.view()), packed);
+    internal::reduce_scatter_packed(comm, packed, kPairwise, c_full);
   });
   return c_full;
 }

@@ -8,12 +8,10 @@
 #include "core/syrk_internal.hpp"
 #include "distribution/block1d.hpp"
 #include "matrix/kernels.hpp"
-#include "matrix/packed.hpp"
 #include "support/check.hpp"
 
 namespace parsyrk::core {
 
-using internal::PackedChunk;
 using internal::TriangleBlocks;
 
 namespace internal {
@@ -24,13 +22,12 @@ namespace {
 void run_1d_rank(comm::Comm& comm, const ConstMatrixView& a,
                  const SyrkOptions& opts, Matrix& c_full) {
   if (!opts.root) {
+    const ConstMatrixView mine = column_block_1d(comm, a);
     if (opts.pipeline_chunks >= 1) {
-      syrk_1d_spmd_pipelined(comm, a, opts.pipeline_chunks, c_full);
-      return;
+      syrk_1d_spmd_pipelined(comm, mine, opts.pipeline_chunks, c_full);
+    } else {
+      syrk_1d_spmd(comm, mine, opts.reduce, c_full);
     }
-    PackedChunk chunk = syrk_1d_spmd(comm, a, opts.reduce);
-    // Assembly into the shared result: disjoint entries per rank, free.
-    scatter_packed_to_full(chunk, c_full);
     return;
   }
   const int root = *opts.root;
@@ -64,18 +61,7 @@ void run_1d_rank(comm::Comm& comm, const ConstMatrixView& a,
 
   // Alg. 1 on the scattered block. The packed-triangle chunks are uneven,
   // so the reduction is the pairwise (variable-size) Reduce-Scatter.
-  Matrix cbar(n1, n1);
-  if (cw > 0) syrk_lower(local.view(), cbar.view());
-  PackedLower packed = PackedLower::from_full(cbar.view());
-  comm.set_phase(kPhaseReduceC);
-  std::vector<std::size_t> sizes(p);
-  for (int q = 0; q < p; ++q) {
-    sizes[q] = dist::chunk_size(packed.size(), p, q);
-  }
-  PackedChunk chunk;
-  chunk.offset = dist::chunk_begin(packed.size(), p, r);
-  chunk.data = comm.reduce_scatter(packed.span(), sizes);
-  scatter_packed_to_full(chunk, c_full);
+  syrk_1d_spmd(comm, local.view(), ReduceKind::kPairwise, c_full);
 }
 
 /// Alg. 2 per-rank driver. C has no reduction — every output block has

@@ -1,7 +1,7 @@
 #include "core/syrk_internal.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <span>
 
 #include "distribution/block1d.hpp"
 #include "matrix/kernels.hpp"
@@ -10,66 +10,81 @@
 
 namespace parsyrk::core::internal {
 
-PackedChunk syrk_1d_spmd(comm::Comm& comm, const ConstMatrixView& a,
-                         ReduceKind reduce) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  const std::size_t n1 = a.rows();
-  const std::size_t n2 = a.cols();
-
-  // Local SYRK over this rank's column block (Alg. 1 line 3). The column
-  // block is local data by assumption; reading it from the shared view costs
-  // nothing, matching the model.
-  const std::size_t c0 = dist::chunk_begin(n2, p, r);
-  const std::size_t cw = dist::chunk_size(n2, p, r);
-  Matrix cbar(n1, n1);
-  if (cw > 0) syrk_lower(a.block(0, c0, n1, cw), cbar.view());
-  PackedLower packed = PackedLower::from_full(cbar.view());
-
-  // Reduce-Scatter of the n1(n1+1)/2 packed entries (Alg. 1 line 4).
-  comm.set_phase(kPhaseReduceC);
-  const std::size_t total = packed.size();
-  PackedChunk out;
-  if (reduce != ReduceKind::kBruck) {
-    std::vector<std::size_t> sizes(p);
-    for (int q = 0; q < p; ++q) sizes[q] = dist::chunk_size(total, p, q);
-    out.offset = dist::chunk_begin(total, p, r);
-    // Hierarchical falls back to flat pairwise when the communicator's
-    // members don't form whole nodes of the world's topology.
-    out.data = (reduce == ReduceKind::kHierarchical && comm.hier_available())
-                   ? comm.reduce_scatter_hier(packed.span(), sizes)
-                   : comm.reduce_scatter(packed.span(), sizes);
-  } else {
-    // Bruck needs equal blocks: pad to a multiple of P; trailing zeros of
-    // the last rank's block are trimmed after the reduction.
-    const std::size_t blk = (total + p - 1) / p;
-    std::vector<double> padded(blk * p, 0.0);
-    std::copy(packed.data(), packed.data() + total, padded.begin());
-    auto mine = comm.reduce_scatter_bruck(padded);
-    out.offset = blk * static_cast<std::size_t>(r);
-    const std::size_t valid =
-        out.offset >= total ? 0 : std::min(blk, total - out.offset);
-    mine.resize(valid);
-    out.data = std::move(mine);
-  }
-  return out;
+std::vector<double> packed_triangle_buffer(std::size_t n1, int p,
+                                           ReduceKind reduce) {
+  const std::size_t total = PackedLower::packed_size(n1);
+  const auto ranks = static_cast<std::size_t>(p);
+  const std::size_t size = reduce == ReduceKind::kBruck
+                               ? (total + ranks - 1) / ranks * ranks
+                               : total;
+  return std::vector<double>(size, 0.0);
 }
 
-void syrk_1d_spmd_pipelined(comm::Comm& comm, const ConstMatrixView& a,
+void reduce_scatter_packed(comm::Comm& comm, std::span<const double> send,
+                           ReduceKind reduce, Matrix& c_full) {
+  const int p = comm.size();
+  const int r = comm.rank();
+  const std::size_t total = PackedLower::packed_size(c_full.rows());
+  comm.set_phase(kPhaseReduceC);
+  if (reduce == ReduceKind::kBruck) {
+    // Equal blocks over the padded buffer; trailing zeros of the last
+    // rank's block are dropped after the reduction.
+    const std::size_t blk = (total + p - 1) / p;
+    PARSYRK_CHECK(send.size() == blk * static_cast<std::size_t>(p));
+    const auto mine = comm.reduce_scatter_bruck(send);
+    const std::size_t lo = blk * static_cast<std::size_t>(r);
+    const std::size_t valid = lo >= total ? 0 : std::min(blk, total - lo);
+    assemble_packed_range(std::span(mine).first(valid), lo, c_full.view());
+    return;
+  }
+  PARSYRK_CHECK(send.size() == total);
+  std::vector<std::size_t> sizes(p);
+  for (int q = 0; q < p; ++q) sizes[q] = dist::chunk_size(total, p, q);
+  // Hierarchical falls back to flat pairwise when the communicator's
+  // members don't form whole nodes of the world's topology.
+  const auto mine = (reduce == ReduceKind::kHierarchical &&
+                     comm.hier_available())
+                        ? comm.reduce_scatter_hier(send, sizes)
+                        : comm.reduce_scatter(send, sizes);
+  assemble_packed_range(mine, dist::chunk_begin(total, p, r), c_full.view());
+}
+
+ConstMatrixView column_block_1d(const comm::Comm& comm,
+                                const ConstMatrixView& a) {
+  const std::size_t n2 = a.cols();
+  return a.block(0, dist::chunk_begin(n2, comm.size(), comm.rank()), a.rows(),
+                 dist::chunk_size(n2, comm.size(), comm.rank()));
+}
+
+namespace {
+
+/// Alg. 1 line 3 straight into the send buffer: zero-fill, then accumulate
+/// A_l·A_lᵀ's packed lower triangle. Each entry ends up exactly the sum a
+/// zeroed dense C would hold.
+std::vector<double> local_syrk_packed(const ConstMatrixView& a_local, int p,
+                                      ReduceKind reduce) {
+  const std::size_t n1 = a_local.rows();
+  std::vector<double> send = packed_triangle_buffer(n1, p, reduce);
+  syrk_lower_packed(a_local,
+                    std::span(send).first(PackedLower::packed_size(n1)));
+  return send;
+}
+
+}  // namespace
+
+void syrk_1d_spmd(comm::Comm& comm, const ConstMatrixView& a_local,
+                  ReduceKind reduce, Matrix& c_full) {
+  const auto send = local_syrk_packed(a_local, comm.size(), reduce);
+  reduce_scatter_packed(comm, send, reduce, c_full);
+}
+
+void syrk_1d_spmd_pipelined(comm::Comm& comm, const ConstMatrixView& a_local,
                             int chunks, Matrix& c_full) {
   const int p = comm.size();
   const int r = comm.rank();
-  const std::size_t n1 = a.rows();
-  const std::size_t n2 = a.cols();
+  const auto packed = local_syrk_packed(a_local, p, ReduceKind::kPairwise);
 
-  // Local SYRK, exactly as in the blocking body.
-  const std::size_t c0 = dist::chunk_begin(n2, p, r);
-  const std::size_t cw = dist::chunk_size(n2, p, r);
-  Matrix cbar(n1, n1);
-  if (cw > 0) syrk_lower(a.block(0, c0, n1, cw), cbar.view());
-  PackedLower packed = PackedLower::from_full(cbar.view());
-
-  // Segmented Reduce-Scatter: segment s of the packed triangle scatters
+  // Segmented Reduce-Scatter: segment s of the packed triangle is assembled
   // into c_full while segment s+1 is in flight. Each segment's per-rank
   // sizes are the intersections of the blocking ownership ranges with the
   // segment, so summed words — and each entry's accumulation order — match
@@ -84,7 +99,7 @@ void syrk_1d_spmd_pipelined(comm::Comm& comm, const ConstMatrixView& a,
     own_b[q] = dist::chunk_begin(total, p, q);
     own_e[q] = dist::chunk_end(total, p, q);
   }
-  auto data = packed.span();
+  const std::span<const double> data = packed;
   std::vector<comm::Request> reqs(S);
   std::vector<std::uint64_t> tokens(S), words(S);
   std::vector<std::size_t> my_lo(S);
@@ -110,16 +125,14 @@ void syrk_1d_spmd_pipelined(comm::Comm& comm, const ConstMatrixView& a,
   post(0);
   for (int s = 0; s < S; ++s) {
     if (s + 1 < S) post(s + 1);
-    PackedChunk seg;
-    seg.offset = my_lo[s];
-    seg.data = reqs[s].take();
+    const auto seg = reqs[s].take();
     // A single segment has nothing in flight beside it: no overlap window,
     // keeping chunks=1 traces bitwise identical to blocking ones.
     if (S > 1) {
       comm.overlap_end(tokens[s], static_cast<std::uint32_t>(s), words[s],
                        /*flops=*/0);
     }
-    scatter_packed_to_full(seg, c_full);
+    assemble_packed_range(seg, my_lo[s], c_full.view());
   }
 }
 
@@ -400,25 +413,6 @@ void scatter_flat_to_full(const TriangleBlocks& shape,
     }
   }
   PARSYRK_CHECK_MSG(hi <= off, "chunk extends past the flattened blocks");
-}
-
-void scatter_packed_to_full(const PackedChunk& chunk, Matrix& c_full) {
-  // Invert the packed index t = i(i+1)/2 + j once, then walk forward.
-  if (chunk.data.empty()) return;
-  std::size_t t = chunk.offset;
-  auto i = static_cast<std::size_t>(
-      (std::sqrt(8.0 * static_cast<double>(t) + 1.0) - 1.0) / 2.0);
-  while (i * (i + 1) / 2 > t) --i;
-  while ((i + 1) * (i + 2) / 2 <= t) ++i;
-  std::size_t j = t - i * (i + 1) / 2;
-  for (double v : chunk.data) {
-    c_full(i, j) = v;
-    c_full(j, i) = v;
-    if (++j > i) {
-      ++i;
-      j = 0;
-    }
-  }
 }
 
 }  // namespace parsyrk::core::internal

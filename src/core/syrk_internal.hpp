@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "distribution/triangle_block.hpp"
@@ -33,24 +34,41 @@ inline constexpr const char* kPhaseScatterA = "scatter_A";
 /// topology to have ranks_per_node > 1 and falls back to pairwise otherwise.
 enum class ReduceKind { kPairwise, kBruck, kHierarchical };
 
-/// Alg. 1 per-rank body: local SYRK over this rank's column block of A,
-/// then a Reduce-Scatter of the packed lower triangle of C.
-/// Returns this rank's even chunk of the packed triangle and its offset.
-struct PackedChunk {
-  std::size_t offset = 0;
-  std::vector<double> data;
-};
-PackedChunk syrk_1d_spmd(comm::Comm& comm, const ConstMatrixView& a,
-                         ReduceKind reduce = ReduceKind::kPairwise);
+/// A zero-filled send buffer for Alg. 1's Reduce-Scatter of the packed
+/// lower triangle of an n1×n1 C: n1(n1+1)/2 doubles in PackedLower's
+/// layout, padded with zeros to a multiple of P when `reduce` is Bruck
+/// (Bruck needs equal blocks).
+std::vector<double> packed_triangle_buffer(std::size_t n1, int p,
+                                           ReduceKind reduce);
+
+/// Alg. 1 line 4 plus assembly: reduce-scatters `send`, this rank's partial
+/// packed triangle laid out as packed_triangle_buffer makes it, in phase
+/// reduce_C, and writes the even chunk this rank owns into `c_full`
+/// (mirrored) with assemble_packed_range. Every 1D caller — SYRK, SYR2K and
+/// sparse SYRK — ends in this one routine.
+void reduce_scatter_packed(comm::Comm& comm, std::span<const double> send,
+                           ReduceKind reduce, Matrix& c_full);
+
+/// This rank's 1D column block of A (Alg. 1 line 3). The column block is
+/// local data by assumption; reading it from the shared view costs nothing,
+/// matching the model.
+ConstMatrixView column_block_1d(const comm::Comm& comm,
+                                const ConstMatrixView& a);
+
+/// Alg. 1 per-rank body: local SYRK of this rank's column block `a_local`
+/// straight into the packed send buffer, then reduce_scatter_packed into
+/// `c_full`. No dense n1×n1 intermediate exists.
+void syrk_1d_spmd(comm::Comm& comm, const ConstMatrixView& a_local,
+                  ReduceKind reduce, Matrix& c_full);
 
 /// Pipelined Alg. 1 body: the packed-triangle Reduce-Scatter is split into
 /// `chunks` contiguous segments driven by nonblocking handles, so segment
-/// s's result scatters into `c_full` while segment s+1 is in flight. Every
-/// segment's per-rank sizes are the intersections of the blocking ownership
-/// ranges with the segment, so the summed word volume — and each entry's
-/// accumulation order — is identical to the blocking path; chunks=1 replays
-/// the blocking schedule exactly (same tags, same event order).
-void syrk_1d_spmd_pipelined(comm::Comm& comm, const ConstMatrixView& a,
+/// s's result is assembled into `c_full` while segment s+1 is in flight.
+/// Every segment's per-rank sizes are the intersections of the blocking
+/// ownership ranges with the segment, so the summed word volume — and each
+/// entry's accumulation order — is identical to the blocking path; chunks=1
+/// replays the blocking schedule exactly (same tags, same event order).
+void syrk_1d_spmd_pipelined(comm::Comm& comm, const ConstMatrixView& a_local,
                             int chunks, Matrix& c_full);
 
 /// How the 2D algorithm's All-to-All is realized (§6 trade-off):
@@ -116,9 +134,5 @@ std::vector<double> flatten_triangle_blocks(const TriangleBlocks& b);
 void scatter_flat_to_full(const TriangleBlocks& shape,
                           const std::vector<double>& chunk, std::size_t lo,
                           std::size_t nb, Matrix& c_full);
-
-/// Writes one rank's packed-triangle chunk (from the 1D algorithm) into the
-/// full symmetric output.
-void scatter_packed_to_full(const PackedChunk& chunk, Matrix& c_full);
 
 }  // namespace parsyrk::core::internal

@@ -6,6 +6,7 @@
 
 #include "matrix/arena.hpp"
 #include "matrix/pack.hpp"
+#include "matrix/packed.hpp"
 #include "matrix/ukernel.hpp"
 
 namespace parsyrk {
@@ -29,11 +30,25 @@ using kern::kNR;
 
 constexpr std::size_t strips_of(std::size_t n) { return (n + kMR - 1) / kMR; }
 
+/// Row access to a dense row-major C: row i starts at data + i·ld.
+struct DenseRows {
+  MatrixView c;
+  double* row(std::size_t i) const { return c.data() + i * c.ld(); }
+};
+
+/// Row access to row-packed lower storage (PackedLower's layout): row i
+/// starts at i(i+1)/2 and holds columns 0..i.
+struct PackedRows {
+  double* p;
+  double* row(std::size_t i) const { return p + i * (i + 1) / 2; }
+};
+
 /// C block (i0.., j0..) += acc tile, clipped to me x ne.
-inline void add_tile(const double* acc, const MatrixView& c, std::size_t i0,
+template <typename Rows>
+inline void add_tile(const double* acc, const Rows& c, std::size_t i0,
                      std::size_t j0, std::size_t me, std::size_t ne) {
   for (std::size_t i = 0; i < me; ++i) {
-    double* crow = c.data() + (i0 + i) * c.ld() + j0;
+    double* crow = c.row(i0 + i) + j0;
     const double* arow = acc + i * kNR;
     for (std::size_t j = 0; j < ne; ++j) crow[j] += arow[j];
   }
@@ -41,15 +56,89 @@ inline void add_tile(const double* acc, const MatrixView& c, std::size_t i0,
 
 /// Same, but only entries with global row >= global column (the diagonal
 /// micro-tiles of syrk_lower / syr2k_lower; i0 == j0 there).
-inline void add_tile_lower(const double* acc, const MatrixView& c,
-                           std::size_t i0, std::size_t j0, std::size_t me,
-                           std::size_t ne) {
+template <typename Rows>
+inline void add_tile_lower(const double* acc, const Rows& c, std::size_t i0,
+                           std::size_t j0, std::size_t me, std::size_t ne) {
   for (std::size_t i = 0; i < me; ++i) {
     const std::size_t gi = i0 + i;
-    double* crow = c.data() + gi * c.ld() + j0;
+    double* crow = c.row(gi) + j0;
     const double* arow = acc + i * kNR;
     const std::size_t jend = gi >= j0 ? std::min(ne, gi - j0 + 1) : 0;
     for (std::size_t j = 0; j < jend; ++j) crow[j] += arow[j];
+  }
+}
+
+/// The one tile loop of syrk_lower and syr2k_lower, over either store:
+/// C (lower triangle) += A·Aᵀ when `b` is null, += A·Bᵀ + B·Aᵀ otherwise.
+template <typename Rows>
+void lower_rank_k(const ConstMatrixView& a, const ConstMatrixView* b,
+                  const Rows& c) {
+  const std::size_t m = a.rows(), kk = a.cols();
+  if (m == 0 || kk == 0) return;
+  const auto uk = kern::active_ukernel().fn;
+  kern::KernelArena& arena = kern::KernelArena::current();
+  const std::size_t ns = strips_of(m);
+  alignas(kMatrixAlignment) double acc[kMR * kNR];
+  for (std::size_t k0 = 0; k0 < kk; k0 += kKC) {
+    const std::size_t kc = std::min(kKC, kk - k0);
+    // One pack of the whole A panel serves as BOTH operands of every C tile
+    // — the cache-level mirror of the paper's halved communication. SYR2K
+    // packs B beside it and reuses each panel as left and right operand.
+    double* abuf = arena.buffer(kern::KernelArena::kSlotPackA,
+                                kern::packed_panel_doubles(m, kc));
+    kern::pack_rows(a, 0, m, k0, kc, abuf);
+    double* bbuf = nullptr;
+    if (b != nullptr) {
+      bbuf = arena.buffer(kern::KernelArena::kSlotPackB,
+                          kern::packed_panel_doubles(m, kc));
+      kern::pack_rows(*b, 0, m, k0, kc, bbuf);
+    }
+    for (std::size_t ir = 0; ir < ns; ++ir) {
+      const std::size_t ib = ir * kMR;
+      const std::size_t me = std::min(kMR, m - ib);
+      for (std::size_t jr = 0; jr <= ir; ++jr) {
+        const std::size_t jb = jr * kNR;
+        std::memset(acc, 0, sizeof(acc));
+        if (bbuf == nullptr) {
+          uk(kc, abuf + ir * kMR * kc, abuf + jr * kNR * kc, acc);
+        } else {
+          uk(kc, abuf + ir * kMR * kc, bbuf + jr * kNR * kc, acc);
+          uk(kc, bbuf + ir * kMR * kc, abuf + jr * kNR * kc, acc);
+        }
+        const std::size_t ne = std::min(kNR, m - jb);
+        if (ir == jr) {
+          add_tile_lower(acc, c, ib, jb, me, ne);
+        } else {
+          add_tile(acc, c, ib, jb, me, ne);
+        }
+      }
+    }
+  }
+}
+
+/// Mirrors lower-triangle entries of rows [i_first, i_end) of square `c`
+/// onto the upper triangle, tile by tile, so neither side is walked
+/// column-strided beyond one tile. Row i_first holds columns >= j_first,
+/// row i_end − 1 holds columns < j_end, and the rows between are whole.
+void mirror_lower_rows(const MatrixView& c, std::size_t i_first,
+                       std::size_t j_first, std::size_t i_end,
+                       std::size_t j_end) {
+  for (std::size_t i0 = i_first; i0 < i_end; i0 += kTransposeTile) {
+    const std::size_t im = std::min(i0 + kTransposeTile, i_end);
+    // Row j of the upper triangle takes column j (j < i) of the lower one.
+    for (std::size_t j0 = 0; j0 + 1 < im; j0 += kTransposeTile) {
+      const std::size_t jm = std::min(j0 + kTransposeTile, im - 1);
+      for (std::size_t j = j0; j < jm; ++j) {
+        // Column j meets the partial first and last rows only on their
+        // side of the cut.
+        const std::size_t lo =
+            std::max({i0, j + 1, j >= j_first ? i_first : i_first + 1});
+        const std::size_t hi = std::min(im, j < j_end ? i_end : i_end - 1);
+        double* urow = c.data() + j * c.ld();
+        const double* lcol = c.data() + j;
+        for (std::size_t i = lo; i < hi; ++i) urow[i] = lcol[i * c.ld()];
+      }
+    }
   }
 }
 
@@ -232,7 +321,7 @@ void gemm_nt(const ConstMatrixView& a, const ConstMatrixView& b,
           const std::size_t jb = jr * kNR;
           std::memset(acc, 0, sizeof(acc));
           uk(kc, abuf + ir * kMR * kc, bbuf + jr * kNR * kc, acc);
-          add_tile(acc, c, ib, jb, me, std::min(kNR, n - jb));
+          add_tile(acc, DenseRows{c}, ib, jb, me, std::min(kNR, n - jb));
         }
       }
     }
@@ -241,73 +330,26 @@ void gemm_nt(const ConstMatrixView& a, const ConstMatrixView& b,
 
 void syrk_lower(const ConstMatrixView& a, const MatrixView& c) {
   PARSYRK_CHECK(c.rows() == c.cols() && a.rows() == c.rows());
-  const std::size_t m = c.rows(), kk = a.cols();
-  if (m == 0 || kk == 0) return;
-  const auto uk = kern::active_ukernel().fn;
-  kern::KernelArena& arena = kern::KernelArena::current();
-  const std::size_t ns = strips_of(m);
-  alignas(kMatrixAlignment) double acc[kMR * kNR];
-  for (std::size_t k0 = 0; k0 < kk; k0 += kKC) {
-    const std::size_t kc = std::min(kKC, kk - k0);
-    // One pack of the whole A panel serves as BOTH operands of every C tile
-    // — the cache-level mirror of the paper's halved communication.
-    double* abuf = arena.buffer(kern::KernelArena::kSlotPackA,
-                                kern::packed_panel_doubles(m, kc));
-    kern::pack_rows(a, 0, m, k0, kc, abuf);
-    for (std::size_t ir = 0; ir < ns; ++ir) {
-      const std::size_t ib = ir * kMR;
-      const std::size_t me = std::min(kMR, m - ib);
-      for (std::size_t jr = 0; jr <= ir; ++jr) {
-        const std::size_t jb = jr * kNR;
-        std::memset(acc, 0, sizeof(acc));
-        uk(kc, abuf + ir * kMR * kc, abuf + jr * kNR * kc, acc);
-        const std::size_t ne = std::min(kNR, m - jb);
-        if (ir == jr) {
-          add_tile_lower(acc, c, ib, jb, me, ne);
-        } else {
-          add_tile(acc, c, ib, jb, me, ne);
-        }
-      }
-    }
-  }
+  lower_rank_k(a, nullptr, DenseRows{c});
+}
+
+void syrk_lower_packed(const ConstMatrixView& a, std::span<double> c) {
+  PARSYRK_CHECK(c.size() == PackedLower::packed_size(a.rows()));
+  lower_rank_k(a, nullptr, PackedRows{c.data()});
 }
 
 void syr2k_lower(const ConstMatrixView& a, const ConstMatrixView& b,
                  const MatrixView& c) {
   PARSYRK_CHECK(c.rows() == c.cols() && a.rows() == c.rows() &&
                 b.rows() == a.rows() && b.cols() == a.cols());
-  const std::size_t m = c.rows(), kk = a.cols();
-  if (m == 0 || kk == 0) return;
-  const auto uk = kern::active_ukernel().fn;
-  kern::KernelArena& arena = kern::KernelArena::current();
-  const std::size_t ns = strips_of(m);
-  alignas(kMatrixAlignment) double acc[kMR * kNR];
-  for (std::size_t k0 = 0; k0 < kk; k0 += kKC) {
-    const std::size_t kc = std::min(kKC, kk - k0);
-    // Both panels packed once; each is reused as left and right operand.
-    double* abuf = arena.buffer(kern::KernelArena::kSlotPackA,
-                                kern::packed_panel_doubles(m, kc));
-    double* bbuf = arena.buffer(kern::KernelArena::kSlotPackB,
-                                kern::packed_panel_doubles(m, kc));
-    kern::pack_rows(a, 0, m, k0, kc, abuf);
-    kern::pack_rows(b, 0, m, k0, kc, bbuf);
-    for (std::size_t ir = 0; ir < ns; ++ir) {
-      const std::size_t ib = ir * kMR;
-      const std::size_t me = std::min(kMR, m - ib);
-      for (std::size_t jr = 0; jr <= ir; ++jr) {
-        const std::size_t jb = jr * kNR;
-        std::memset(acc, 0, sizeof(acc));
-        uk(kc, abuf + ir * kMR * kc, bbuf + jr * kNR * kc, acc);
-        uk(kc, bbuf + ir * kMR * kc, abuf + jr * kNR * kc, acc);
-        const std::size_t ne = std::min(kNR, m - jb);
-        if (ir == jr) {
-          add_tile_lower(acc, c, ib, jb, me, ne);
-        } else {
-          add_tile(acc, c, ib, jb, me, ne);
-        }
-      }
-    }
-  }
+  lower_rank_k(a, &b, DenseRows{c});
+}
+
+void syr2k_lower_packed(const ConstMatrixView& a, const ConstMatrixView& b,
+                        std::span<double> c) {
+  PARSYRK_CHECK(b.rows() == a.rows() && b.cols() == a.cols() &&
+                c.size() == PackedLower::packed_size(a.rows()));
+  lower_rank_k(a, &b, PackedRows{c.data()});
 }
 
 void symm_lower_left(const ConstMatrixView& s_lower, const ConstMatrixView& b,
@@ -339,7 +381,7 @@ void symm_lower_left(const ConstMatrixView& s_lower, const ConstMatrixView& b,
           const std::size_t jb = jr * kNR;
           std::memset(acc, 0, sizeof(acc));
           uk(kc, abuf + ir * kMR * kc, bbuf + jr * kNR * kc, acc);
-          add_tile(acc, c, ib, jb, me, std::min(kNR, m - jb));
+          add_tile(acc, DenseRows{c}, ib, jb, me, std::min(kNR, m - jb));
         }
       }
     }
@@ -396,21 +438,31 @@ void transpose_into(const ConstMatrixView& a, const MatrixView& t) {
 void symmetrize_from_lower(const MatrixView& c) {
   PARSYRK_CHECK(c.rows() == c.cols());
   const std::size_t n = c.rows();
-  // Tile pairs (i0, j0) of the lower triangle; row j of the upper triangle
-  // takes column j of the lower one.
-  for (std::size_t i0 = 0; i0 < n; i0 += kTransposeTile) {
-    const std::size_t im = std::min(i0 + kTransposeTile, n);
-    for (std::size_t j0 = 0; j0 <= i0; j0 += kTransposeTile) {
-      const std::size_t jm = std::min(j0 + kTransposeTile, n);
-      for (std::size_t j = j0; j < jm; ++j) {
-        double* urow = c.data() + j * c.ld();
-        const double* lcol = c.data() + j;
-        for (std::size_t i = std::max(i0, j + 1); i < im; ++i) {
-          urow[i] = lcol[i * c.ld()];
-        }
-      }
-    }
+  mirror_lower_rows(c, 0, 0, n, n);
+}
+
+void assemble_packed_range(std::span<const double> chunk, std::size_t offset,
+                           const MatrixView& c) {
+  if (chunk.empty()) return;
+  PARSYRK_CHECK(c.rows() == c.cols() &&
+                offset + chunk.size() <= PackedLower::packed_size(c.rows()));
+  // Invert the packed index offset = i(i+1)/2 + j once.
+  auto i = static_cast<std::size_t>(
+      (std::sqrt(8.0 * static_cast<double>(offset) + 1.0) - 1.0) / 2.0);
+  while (PackedLower::packed_size(i) > offset) --i;
+  while (PackedLower::packed_size(i + 1) <= offset) ++i;
+  const std::size_t i_first = i;
+  const std::size_t j_first = offset - PackedLower::packed_size(i);
+  // Row by row into the lower triangle; the loop leaves i one past the last
+  // row and j_end one past that row's last column.
+  std::size_t j = j_first, j_end = j_first, t = 0;
+  for (; t < chunk.size(); ++i, j = 0) {
+    const std::size_t len = std::min(i + 1 - j, chunk.size() - t);
+    std::copy_n(chunk.data() + t, len, c.data() + i * c.ld() + j);
+    t += len;
+    j_end = j + len;
   }
+  mirror_lower_rows(c, i_first, j_first, i, j_end);
 }
 
 double max_abs_diff(const ConstMatrixView& a, const ConstMatrixView& b) {

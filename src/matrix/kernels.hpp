@@ -8,7 +8,9 @@
 //   * the unsuffixed kernels run the packed micro-kernel engine (pack.hpp +
 //     ukernel.hpp): BLIS-style packed panels, a register-blocked FMA
 //     micro-tile, per-worker arena scratch (arena.hpp) — the production
-//     path every SPMD rank executes;
+//     path every SPMD rank executes. The triangular kernels also store
+//     into row-packed lower storage (the _packed twins), which is what
+//     Alg. 1 reduce-scatters;
 //   * the _blocked variants are the previous generation (cache tiling over
 //     the raw row-major operands, no packing) kept as the mid-tier
 //     reference point of the BENCH_KERNELS.json perf trajectory;
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "matrix/matrix.hpp"
 
@@ -39,6 +42,12 @@ void gemm_nt_naive(const ConstMatrixView& a, const ConstMatrixView& b,
 /// packs the A panel once per k block and uses it as both operands.
 void syrk_lower(const ConstMatrixView& a, const MatrixView& c);
 
+/// syrk_lower into row-packed lower storage (PackedLower's layout: entry
+/// (i, j), j <= i, at i(i+1)/2 + j); `c` holds a.rows()(a.rows()+1)/2
+/// doubles. Same tiles and summation order as syrk_lower, so adding into a
+/// zeroed buffer gives bitwise the lower triangle of a zeroed dense C.
+void syrk_lower_packed(const ConstMatrixView& a, std::span<double> c);
+
 /// Previous-generation cache-blocked syrk_lower (no packing).
 void syrk_lower_blocked(const ConstMatrixView& a, const MatrixView& c);
 
@@ -49,6 +58,10 @@ void syrk_lower_naive(const ConstMatrixView& a, const MatrixView& c);
 /// (the SYR2K local kernel — §6's first extension target).
 void syr2k_lower(const ConstMatrixView& a, const ConstMatrixView& b,
                  const MatrixView& c);
+
+/// syr2k_lower into row-packed lower storage, as syrk_lower_packed.
+void syr2k_lower_packed(const ConstMatrixView& a, const ConstMatrixView& b,
+                        std::span<double> c);
 
 /// Previous-generation cache-blocked syr2k_lower (no packing).
 void syr2k_lower_blocked(const ConstMatrixView& a, const ConstMatrixView& b,
@@ -93,6 +106,14 @@ void transpose_into(const ConstMatrixView& a, const MatrixView& t);
 /// triangle (cache-blocked), so a lower-triangular result reads as the full
 /// symmetric matrix.
 void symmetrize_from_lower(const MatrixView& c);
+
+/// Writes entries [offset, offset + chunk.size()) of a row-packed lower
+/// triangle into the lower triangle of square `c`, one contiguous copy per
+/// row, then mirrors them onto the upper triangle with the cache-blocked
+/// transpose of symmetrize_from_lower. Disjoint ranges write disjoint
+/// entries of `c`, so ranks can assemble their own ranges concurrently.
+void assemble_packed_range(std::span<const double> chunk, std::size_t offset,
+                           const MatrixView& c);
 
 /// max_{i,j} |a(i,j) - b(i,j)|; shapes must match.
 double max_abs_diff(const ConstMatrixView& a, const ConstMatrixView& b);

@@ -2,23 +2,21 @@
 //
 // The local-kernel engine (kernels.cpp) tiles every dense kernel down to
 // kMR x kNR accumulator tiles fed from packed panels (pack.hpp) and calls
-// one micro-kernel in the innermost position. Two implementations of that
-// micro-kernel can exist in the binary:
+// one micro-kernel in the innermost position. Every x86-64 build carries
+// three tiers of that micro-kernel, fastest first:
 //
-//   * generic — compiled with the project's baseline flags; portable.
-//   * native  — the same C++ body compiled in its own translation unit with
-//     -march=native (CMake option PARSYRK_NATIVE=ON), so the autovectorizer
-//     emits the widest FMA the build machine supports.
+//   * avx512  — 8 zmm accumulator rows (function-level target "avx512f");
+//   * avx2    — two 4x8 passes in ymm registers (target "avx2,fma");
+//   * generic — the portable C++ body, compiled for the baseline ISA.
 //
-// Selection happens once, at first use: the native kernel is chosen only if
-// it was compiled in AND the running CPU reports (via CPUID) every ISA
-// feature the native TU was compiled to assume — a binary built on an
-// AVX-512 box therefore still runs (on the generic path) on an SSE2 box.
-// PARSYRK_UKERNEL=generic|native in the environment overrides the choice
-// (used by tests to cross-check both paths bit-for-bit... numerically).
+// Other architectures carry the generic tier only. The process picks the
+// fastest tier the running CPU supports, once, at first use; the
+// PARSYRK_UKERNEL environment variable forces a named tier instead. A name
+// that is unknown or that the host cannot run throws InvalidArgument.
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 namespace parsyrk::kern {
 
@@ -39,14 +37,21 @@ using MicroKernelFn = void (*)(std::size_t kc, const double* a,
 
 struct Ukernel {
   MicroKernelFn fn;
-  const char* name;  // "generic" or "native"
+  const char* name;  // "avx512", "avx2" or "generic"
 };
 
-/// The micro-kernel selected for this process (resolved once, thread-safe).
-const Ukernel& active_ukernel();
+/// The tiers the running CPU supports, fastest first; "generic" is always
+/// present and always last.
+std::span<const Ukernel> host_ukernels();
 
-/// True when the binary contains the -march=native translation unit AND the
-/// running CPU supports it (regardless of any PARSYRK_UKERNEL override).
-bool native_ukernel_available();
+/// The tier named by `override_name` among `tiers`, or `tiers.front()` when
+/// the name is null or empty. Throws InvalidArgument, naming the value and
+/// listing `tiers`, when no tier has that name.
+const Ukernel& select_ukernel(const char* override_name,
+                              std::span<const Ukernel> tiers);
+
+/// The micro-kernel selected for this process: select_ukernel over
+/// PARSYRK_UKERNEL and host_ukernels(), resolved once (thread-safe).
+const Ukernel& active_ukernel();
 
 }  // namespace parsyrk::kern

@@ -48,9 +48,7 @@ Matrix sparse_syrk_1d(comm::World& world, const Csr& a, ColumnSplit split) {
   const auto ranges = column_ranges(a, world.size(), split);
   Matrix c_full(n1, n1);
   world.run([&](comm::Comm& comm) {
-    const int p = comm.size();
-    const int r = comm.rank();
-    const auto [c0, c1] = ranges[r];
+    const auto [c0, c1] = ranges[comm.rank()];
     // Local sparse SYRK over this rank's columns (local data by the 1D
     // distribution assumption; reading the shared CSR costs nothing).
     Matrix cbar(n1, n1);
@@ -61,15 +59,9 @@ Matrix sparse_syrk_1d(comm::World& world, const Csr& a, ColumnSplit split) {
     // Identical Reduce-Scatter to the dense Alg. 1: the output triangle is
     // dense regardless of the input sparsity.
     PackedLower packed = PackedLower::from_full(cbar.view());
-    comm.set_phase(core::internal::kPhaseReduceC);
-    std::vector<std::size_t> sizes(p);
-    for (int q = 0; q < p; ++q) {
-      sizes[q] = dist::chunk_size(packed.size(), p, q);
-    }
-    core::internal::PackedChunk chunk;
-    chunk.offset = dist::chunk_begin(packed.size(), p, r);
-    chunk.data = comm.reduce_scatter(packed.span(), sizes);
-    core::internal::scatter_packed_to_full(chunk, c_full);
+    core::internal::reduce_scatter_packed(comm, packed.span(),
+                                          core::internal::ReduceKind::kPairwise,
+                                          c_full);
   });
   return c_full;
 }

@@ -1,11 +1,14 @@
 // Packed micro-kernel engine tests: every engine kernel against its naive
 // oracle over adversarial shapes (empty, single row, one lane short of /
 // past a micro-tile, non-tile-multiples, strided views), strict-upper
-// preservation for the triangular kernels, generic-vs-native dispatch
-// agreement, and the arena reuse guarantees the worker pool relies on.
+// preservation for the triangular kernels, packed-store twins bitwise
+// against the dense stores, every micro-kernel tier the host can run
+// against the naive sum, tier selection, and the arena reuse guarantees the
+// worker pool relies on.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "matrix/arena.hpp"
@@ -37,6 +40,20 @@ Matrix upper_sentinel(std::size_t n) {
     for (std::size_t j = i + 1; j < n; ++j) c(i, j) = 1e100 + double(i * n + j);
   }
   return c;
+}
+
+/// The packed-store twin, run into a zeroed buffer, must hold bitwise the
+/// lower triangle the dense kernel left in a zeroed C.
+void expect_packed_equals_dense_lower(const std::vector<double>& packed,
+                                      const Matrix& dense) {
+  const std::size_t n = dense.rows();
+  ASSERT_EQ(packed.size(), n * (n + 1) / 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(packed[i * (i + 1) / 2 + j], dense(i, j))
+          << "(" << i << "," << j << ")";
+    }
+  }
 }
 
 void expect_upper_untouched(const Matrix& c) {
@@ -98,6 +115,9 @@ TEST(PackedSyrkLower, MatchesNaiveOnEdgeShapes) {
       syrk_lower_naive(a.view(), want.view());
       ASSERT_LT(max_abs_diff_lower(got.view(), want.view()), kTol)
           << "n=" << n << " k=" << k;
+      std::vector<double> packed(n * (n + 1) / 2, 0.0);
+      syrk_lower_packed(a.view(), packed);
+      expect_packed_equals_dense_lower(packed, got);
     }
   }
 }
@@ -121,6 +141,9 @@ TEST(PackedSyr2kLower, MatchesNaiveOnEdgeShapes) {
       syr2k_lower_naive(a.view(), b.view(), want.view());
       ASSERT_LT(max_abs_diff_lower(got.view(), want.view()), kTol)
           << "n=" << n << " k=" << k;
+      std::vector<double> packed(n * (n + 1) / 2, 0.0);
+      syr2k_lower_packed(a.view(), b.view(), packed);
+      expect_packed_equals_dense_lower(packed, got);
     }
   }
 }
@@ -164,33 +187,80 @@ TEST(PackedSymmLowerLeft, NeverReadsStrictUpperOfS) {
   EXPECT_LT(max_abs_diff(got.view(), want.view()), kTol);
 }
 
-TEST(Ukernel, GenericAgreesWithActive) {
-  // When native dispatch is live this cross-checks two ISA paths; in a
-  // baseline build both sides are the same function and the test is a no-op
-  // guard.
-  const std::size_t kc = 57;
-  std::vector<double> a(kMR * kc), b(kNR * kc);
-  Rng rng(99);
-  for (auto& v : a) v = rng.uniform(-1, 1);
-  for (auto& v : b) v = rng.uniform(-1, 1);
-  alignas(kMatrixAlignment) double got[kMR * kNR] = {};
-  kern::active_ukernel().fn(kc, a.data(), b.data(), got);
-  for (std::size_t i = 0; i < kMR; ++i) {
-    for (std::size_t j = 0; j < kNR; ++j) {
-      double want = 0.0;
-      for (std::size_t k = 0; k < kc; ++k) {
-        want += a[k * kMR + i] * b[k * kNR + j];
+TEST(Ukernel, EveryHostTierMatchesOracle) {
+  // Each tier the host can run, on random panels across the kKC boundary,
+  // adding into a non-zero accumulator.
+  const auto tiers = kern::host_ukernels();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_STREQ(tiers.back().name, "generic");
+#if defined(__x86_64__)
+  // The list follows the CPU: AVX-512 first when present, then AVX2+FMA.
+  std::vector<std::string> want_names;
+  if (__builtin_cpu_supports("avx512f")) want_names.push_back("avx512");
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    want_names.push_back("avx2");
+  }
+  want_names.push_back("generic");
+  ASSERT_EQ(tiers.size(), want_names.size());
+  for (std::size_t t = 0; t < tiers.size(); ++t) {
+    EXPECT_EQ(tiers[t].name, want_names[t]);
+  }
+#endif
+  const std::size_t kcs[] = {0, 1, 7, 9, 57, 256, 257};
+  for (const kern::Ukernel& tier : tiers) {
+    for (std::size_t kc : kcs) {
+      std::vector<double> a(kMR * kc), b(kNR * kc);
+      Rng rng(99 + kc);
+      for (auto& v : a) v = rng.uniform(-1, 1);
+      for (auto& v : b) v = rng.uniform(-1, 1);
+      alignas(kMatrixAlignment) double got[kMR * kNR];
+      double start[kMR * kNR];
+      for (std::size_t t = 0; t < kMR * kNR; ++t) {
+        start[t] = got[t] = rng.uniform(-1, 1);
       }
-      ASSERT_NEAR(got[i * kNR + j], want, 1e-12) << i << "," << j;
+      tier.fn(kc, a.data(), b.data(), got);
+      for (std::size_t i = 0; i < kMR; ++i) {
+        for (std::size_t j = 0; j < kNR; ++j) {
+          double want = start[i * kNR + j];
+          for (std::size_t k = 0; k < kc; ++k) {
+            want += a[k * kMR + i] * b[k * kNR + j];
+          }
+          ASSERT_NEAR(got[i * kNR + j], want, 1e-12)
+              << tier.name << " kc=" << kc << " (" << i << "," << j << ")";
+        }
+      }
     }
   }
 }
 
-TEST(Ukernel, EnvOverrideSelectsGeneric) {
-  // The override is resolved once per process, so all this can assert here
-  // is the plumbing: the active kernel has a name and a function.
-  EXPECT_NE(kern::active_ukernel().fn, nullptr);
-  EXPECT_NE(kern::active_ukernel().name, nullptr);
+TEST(Ukernel, SelectionFollowsOverrideAndHostTiers) {
+  const auto tiers = kern::host_ukernels();
+  // Unset (or empty) picks the fastest tier.
+  EXPECT_EQ(&kern::select_ukernel(nullptr, tiers), &tiers.front());
+  EXPECT_EQ(&kern::select_ukernel("", tiers), &tiers.front());
+  // Every host tier selects itself by name.
+  for (const kern::Ukernel& tier : tiers) {
+    EXPECT_EQ(&kern::select_ukernel(tier.name, tiers), &tier) << tier.name;
+  }
+  // An unknown name throws, naming the value and the supported tiers.
+  try {
+    kern::select_ukernel("bogus", tiers);
+    ADD_FAILURE() << "bogus tier name was accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
+    for (const kern::Ukernel& tier : tiers) {
+      EXPECT_NE(what.find(tier.name), std::string::npos) << what;
+    }
+  }
+  // A real tier the host list lacks throws too: a generic-only host asked
+  // for avx512.
+  const auto generic_only = tiers.last(1);
+  EXPECT_THROW(kern::select_ukernel("avx512", generic_only), InvalidArgument);
+  EXPECT_THROW(kern::select_ukernel("avx2", generic_only), InvalidArgument);
+  // This process made the same choice (no override is set under ctest).
+  EXPECT_EQ(&kern::active_ukernel(),
+            &kern::select_ukernel(std::getenv("PARSYRK_UKERNEL"), tiers));
 }
 
 TEST(PackBytes, CountsPanelTraffic) {

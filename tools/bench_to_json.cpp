@@ -10,9 +10,11 @@
 //   bench_to_json --smoke [--factor F]
 //       cheap perf gate for ctest: asserts the packed syrk_lower beats the
 //       naive oracle by at least F (default 1.3 — far below the measured
-//       margin, so scheduler noise cannot flake the suite) at n=256 and
-//       exits nonzero otherwise.
+//       margin, so scheduler noise cannot flake the suite) at n=256, and
+//       that a host with AVX-512 runs the avx512 micro-kernel unless
+//       PARSYRK_UKERNEL forces a tier; exits nonzero otherwise.
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -145,7 +147,25 @@ std::string to_json(const std::vector<Row>& rows) {
   return os.str();
 }
 
+/// Tier selection, not timing: without an override, a host that supports
+/// AVX-512 must have picked the avx512 micro-kernel.
+bool selected_fastest_tier() {
+  const char* force = std::getenv("PARSYRK_UKERNEL");
+  if (force != nullptr && *force != '\0') return true;
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx512f")) {
+    return std::strcmp(kern::active_ukernel().name, "avx512") == 0;
+  }
+#endif
+  return true;
+}
+
 int run_smoke(double factor) {
+  if (!selected_fastest_tier()) {
+    std::cerr << "FAIL: host supports AVX-512 but the active micro-kernel is "
+              << kern::active_ukernel().name << "\n";
+    return 1;
+  }
   const std::size_t n = 256, k = 64;
   Matrix a = random_matrix(n, k, 3);
   Matrix c(n, n);
