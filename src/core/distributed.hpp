@@ -4,9 +4,10 @@
 // distributed — downstream kernels (Cholesky, trailing updates) consume it
 // in place. The convenience drivers in syrk.hpp reassemble C through shared
 // memory for validation; this API instead returns a handle holding each
-// rank's owned triangle blocks, supports local queries, and makes the
-// expensive operation — funnelling everything to one root — explicit and
-// visible in the cost ledger.
+// rank's owned triangle blocks — in the flat layout the SYRK body computes
+// and reduce-scatters them in (internal::OwnedLayout) — supports local
+// queries, and makes the expensive operation — funnelling everything to
+// one root — explicit and visible in the cost ledger.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +20,18 @@
 
 namespace parsyrk::core {
 
+/// One rank's share of a distributed result: which blocks it owns and
+/// where each sits in `data` (pairs row-major, then the diagonal block
+/// packed lower), and their values.
+struct OwnedBlocks {
+  internal::OwnedLayout layout;
+  std::vector<double> data;  // layout.size() words
+};
+
 class DistributedSyrkResult {
  public:
-  /// Runs the 2D algorithm and captures each rank's owned blocks.
+  /// Runs Alg. 2's gather and compute steps and keeps each rank's owned
+  /// blocks where they were computed.
   /// world.size() == c(c+1), n1 % c² == 0.
   static DistributedSyrkResult compute_2d(comm::World& world, const Matrix& a,
                                           std::uint64_t c);
@@ -32,7 +42,7 @@ class DistributedSyrkResult {
   int num_ranks() const { return static_cast<int>(per_rank_.size()); }
 
   /// The blocks rank `r` owns (its triangle block of blocks + diagonal).
-  const internal::TriangleBlocks& local(int r) const { return per_rank_[r]; }
+  const OwnedBlocks& local(int r) const { return per_rank_[r]; }
 
   /// Entry (i, j) of the symmetric result, looked up on its owner.
   double at(std::uint64_t i, std::uint64_t j) const;
@@ -62,7 +72,7 @@ class DistributedSyrkResult {
   std::uint64_t c_;
   std::uint64_t nb_;
   dist::TriangleBlockDistribution dist_;
-  std::vector<internal::TriangleBlocks> per_rank_;
+  std::vector<OwnedBlocks> per_rank_;
 };
 
 }  // namespace parsyrk::core

@@ -106,49 +106,12 @@ Matrix symm_2d(comm::World& world, const Matrix& s, const Matrix& b,
   Matrix c_full(n, m);
   world.run([&](comm::Comm& comm) {
     const auto k = static_cast<std::uint64_t>(comm.rank());
-    const auto p = static_cast<std::uint64_t>(comm.size());
     const auto& rk = d.row_block_set(k);
 
-    // --- Phase 1: All-to-All gather of the B row blocks in R_k (the same
-    // exchange pattern as SYRK's gather of A; S itself never moves). ---
-    comm.set_phase(internal::kPhaseGatherA);
-    auto read_chunk = [&](std::uint64_t i, std::uint64_t owner) {
-      const int q = static_cast<int>(d.chunk_index(i, owner));
-      return std::pair{dist::chunk_begin(flat, parts, q),
-                       dist::chunk_end(flat, parts, q)};
-    };
-    std::vector<std::vector<double>> sendbuf(p);
-    for (std::uint64_t i : rk) {
-      const auto [lo, hi] = read_chunk(i, k);
-      std::vector<double> mine;
-      mine.reserve(hi - lo);
-      for (std::size_t t = lo; t < hi; ++t) {
-        mine.push_back(b(i * nb + t / m, t % m));
-      }
-      for (std::uint64_t k2 : d.processor_set(i)) {
-        if (k2 == k) continue;
-        PARSYRK_CHECK(sendbuf[k2].empty());
-        sendbuf[k2] = mine;
-      }
-    }
-    auto recvbuf = comm.all_to_all_v(sendbuf);
-    std::vector<Matrix> local_b;
-    local_b.reserve(rk.size());
-    for (std::uint64_t i : rk) {
-      Matrix bi(nb, m);
-      for (std::uint64_t k2 : d.processor_set(i)) {
-        const auto [lo, hi] = read_chunk(i, k2);
-        if (k2 == k) {
-          for (std::size_t t = lo; t < hi; ++t) {
-            bi(t / m, t % m) = b(i * nb + t / m, t % m);
-          }
-        } else {
-          PARSYRK_CHECK(recvbuf[k2].size() == hi - lo);
-          flat_assign(bi.view(), lo, recvbuf[k2]);
-        }
-      }
-      local_b.push_back(std::move(bi));
-    }
+    // --- Phase 1: All-to-All gather of the B row blocks in R_k — SYRK's
+    // gather of A, on B (S itself never moves). ---
+    const internal::AssembledRowBlocks local_b = internal::syrk_2d_gather(
+        comm, d, b.view(), internal::ExchangeKind::kPairwise);
     auto index_of = [&](std::uint64_t i) {
       auto it = std::lower_bound(rk.begin(), rk.end(), i);
       PARSYRK_CHECK(it != rk.end() && *it == i);
@@ -160,16 +123,16 @@ Matrix symm_2d(comm::World& world, const Matrix& s, const Matrix& b,
     std::vector<Matrix> partial(rk.size(), Matrix(nb, m));
     for (const auto& [bi, bj] : d.owned_pairs(k)) {
       auto sij = s.view().block(bi * nb, bj * nb, nb, nb);
-      accumulate_block_product(sij, local_b[index_of(bj)].view(),
+      accumulate_block_product(sij, local_b.rows(bj).a,
                                /*transpose=*/false,
                                partial[index_of(bi)].view());
-      accumulate_block_product(sij, local_b[index_of(bi)].view(),
+      accumulate_block_product(sij, local_b.rows(bi).a,
                                /*transpose=*/true,
                                partial[index_of(bj)].view());
     }
     if (auto di = d.diagonal_block(k)) {
       auto sii = s.view().block(*di * nb, *di * nb, nb, nb);
-      symm_lower_left(sii, local_b[index_of(*di)].view(),
+      symm_lower_left(sii, local_b.rows(*di).a,
                       partial[index_of(*di)].view());
     }
 

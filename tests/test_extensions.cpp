@@ -425,14 +425,10 @@ TEST(Distributed, GatherToRootPaysTheFunnel) {
   EXPECT_LT(max_abs_diff(gathered.view(), syrk_reference(a.view()).view()),
             kTol);
   const auto funnel = world.ledger().summary("gather_result");
-  // The root receives everything but its own blocks: the full triangle plus
-  // the upper halves of the off-diagonal diagonal-blocks... exactly the
-  // flattened block words of 11 ranks.
+  // The root receives everything but its own blocks: exactly the owned
+  // block words of 11 ranks.
   std::uint64_t expected = 0;
-  for (int r = 1; r < 12; ++r) {
-    const auto& local = result.local(r);
-    expected += core::internal::flatten_triangle_blocks(local).size();
-  }
+  for (int r = 1; r < 12; ++r) expected += result.local(r).data.size();
   EXPECT_EQ(funnel.total.words_sent - 0, expected);
   EXPECT_GT(world.ledger().summary().total.words_sent, before);
 }
@@ -511,8 +507,8 @@ TEST(Distributed, LocalBlocksFollowTheDistribution) {
   auto result = core::DistributedSyrkResult::compute_2d(world, a, 2);
   dist::TriangleBlockDistribution d(2);
   for (int r = 0; r < 6; ++r) {
-    EXPECT_EQ(result.local(r).pairs, d.owned_pairs(r));
-    EXPECT_EQ(result.local(r).diag_index.has_value(),
+    EXPECT_EQ(result.local(r).layout.pairs, d.owned_pairs(r));
+    EXPECT_EQ(result.local(r).layout.diag.has_value(),
               d.diagonal_block(r).has_value());
   }
 }
