@@ -133,37 +133,12 @@ SyrkRun syrk(Session& session, const SyrkRequest& req) {
   PARSYRK_REQUIRE(plan.procs <= static_cast<std::uint64_t>(session.size()),
                   "request needs ", plan.procs, " ranks; session has ",
                   session.size());
-  if (req.options.root) {
-    PARSYRK_REQUIRE(plan.algorithm == Algorithm::kOneD,
-                    "from_root is only supported with the 1D algorithm");
-    PARSYRK_REQUIRE(*req.options.root >= 0 &&
-                        static_cast<std::uint64_t>(*req.options.root) <
-                            plan.procs,
-                    "bad root ", *req.options.root);
-  }
-  // The builder methods validate these, but the options struct is an open
-  // aggregate — catch hand-assembled nonsense before it executes silently.
-  PARSYRK_REQUIRE(req.options.pipeline_chunks >= 0,
-                  "pipeline_chunks must be >= 0 (0 = blocking); got ",
-                  req.options.pipeline_chunks);
-  PARSYRK_REQUIRE(req.options.ranks_per_node >= 1,
-                  "ranks_per_node must be >= 1 (1 = flat); got ",
-                  req.options.ranks_per_node);
+  internal::check_options(plan, a.rows(), a.cols(), req.options);
   if (req.options.pipeline_chunks >= 1) {
-    PARSYRK_REQUIRE(!req.options.root,
-                    "with_pipeline does not support from_root ingestion");
-    PARSYRK_REQUIRE(req.options.reduce == ReduceKind::kPairwise &&
-                        req.options.exchange == ExchangeKind::kPairwise,
-                    "with_pipeline supports pairwise collectives only");
     // Pipelined segments ride pairwise handles; a hierarchical plan pick
     // reverts to the (tier-split) pairwise schedule so run.plan reflects
     // what actually executed.
     plan.strategy = CollectiveStrategy::kPairwise;
-  }
-  if (req.options.ranks_per_node > 1) {
-    PARSYRK_REQUIRE(!plan.folded(),
-                    "with_topology requires an unfolded plan (folded worlds "
-                    "already model co-location)");
   }
   // The planner's hierarchical pick executes through the hierarchical
   // collective kinds; explicit with_reduce/with_exchange choices win.

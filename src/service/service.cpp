@@ -184,38 +184,13 @@ bool SyrkService::admit(detail::TicketState& st) {
         st.plan.procs <= static_cast<std::uint64_t>(session_->size()),
         "request needs ", st.plan.procs, " ranks; service has ",
         session_->size());
-    if (st.request.options.root) {
-      PARSYRK_REQUIRE(st.plan.algorithm == core::Algorithm::kOneD,
-                      "from_root is only supported with the 1D algorithm");
-      PARSYRK_REQUIRE(*st.request.options.root >= 0 &&
-                          static_cast<std::uint64_t>(
-                              *st.request.options.root) < st.plan.procs,
-                      "bad root ", *st.request.options.root);
-    }
-    // with_pipeline rejects chunks < 1 at request build, but the options
-    // struct is an open aggregate — a hand-assembled request can carry any
-    // value. Admission is the service's last validation point before the
-    // executor, so malformed knobs fail the ticket here, loudly, instead of
-    // surfacing as a mid-flight executor REQUIRE.
-    PARSYRK_REQUIRE(st.request.options.pipeline_chunks >= 0,
-                    "pipeline_chunks must be >= 0 (0 = blocking); got ",
-                    st.request.options.pipeline_chunks);
-    PARSYRK_REQUIRE(st.request.options.ranks_per_node >= 1,
-                    "ranks_per_node must be >= 1 (1 = flat); got ",
-                    st.request.options.ranks_per_node);
-    if (st.request.options.ranks_per_node > 1) {
-      PARSYRK_REQUIRE(!st.plan.folded(),
-                      "with_topology requires an unfolded plan (folded "
-                      "worlds already model co-location)");
-    }
+    // Admission is the service's last validation point before the
+    // executor, so malformed or conflicting options fail the ticket here,
+    // loudly, instead of surfacing as a mid-flight executor REQUIRE.
+    core::internal::check_options(st.plan, st.request.a->rows(),
+                                  st.request.a->cols(), st.request.options);
     const int rpn = st.request.options.ranks_per_node;
     if (st.request.options.pipeline_chunks >= 1) {
-      PARSYRK_REQUIRE(!st.request.options.root,
-                      "with_pipeline does not support from_root ingestion");
-      PARSYRK_REQUIRE(
-          st.request.options.reduce == core::ReduceKind::kPairwise &&
-              st.request.options.exchange == core::ExchangeKind::kPairwise,
-          "with_pipeline supports pairwise collectives only");
       // Pipelined execution rides pairwise handles; mirror core::syrk's
       // strategy reset so the priced plan matches the executed one.
       st.plan.strategy = core::CollectiveStrategy::kPairwise;
