@@ -342,7 +342,7 @@ TEST(Lemma3, HoldsOnFullIterationSpace) {
   EXPECT_TRUE(loomis_whitney_holds(pts));
 }
 
-TEST(Lemma3, TightOnTriangleBlocks) {
+TEST(Lemma3, TightOnTriangleBlockSets) {
   // Triangle blocks are the extremal sets: |V| = s(s-1)/2 · d,
   // |phi_i ∪ phi_j| = s·d, |phi_k| = s(s-1)/2 — the ratio approaches 1
   // from above as s grows (exactly 1 in the continuous relaxation).
