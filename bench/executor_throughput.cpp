@@ -128,18 +128,14 @@ int main(int argc, char** argv) {
   const double verified_sec = seconds_since(t_verified);
 
   // Local-kernel time: the gamma the planner's cost model should use on this
-  // host, for both kernel tiers (docs/PLANNING.md records the calibration).
+  // host (docs/PLANNING.md records the calibration).
   const double gamma_packed = bench::measured_gamma_syrk(
       [](const ConstMatrixView& av, const MatrixView& cv) {
         syrk_lower(av, cv);
       });
-  const double gamma_blocked = bench::measured_gamma_syrk(
-      [](const ConstMatrixView& av, const MatrixView& cv) {
-        syrk_lower_blocked(av, cv);
-      });
   std::cout << "local kernel gamma (s/MAC, 512x128 syrk_lower): packed "
             << gamma_packed << " (" << kern::active_ukernel().name
-            << " ukernel), blocked " << gamma_blocked << "\n\n";
+            << " ukernel)\n\n";
 
   const double fresh_jps = jobs / fresh_sec;
   const double warm_jps = jobs / warm_sec;
@@ -179,7 +175,6 @@ int main(int argc, char** argv) {
             << ",\"verified_jobs_per_sec\":" << verified_jps
             << ",\"verify_overhead_pct\":" << verify_overhead_pct
             << ",\"gamma_packed\":" << gamma_packed
-            << ",\"gamma_blocked\":" << gamma_blocked
             << ",\"ukernel\":\"" << kern::active_ukernel().name << "\"}\n";
 
   return (fresh_err < 1e-9 && warm_err < 1e-9 && traced_err < 1e-9 &&

@@ -13,12 +13,6 @@ namespace parsyrk {
 
 namespace {
 
-// Tile sizes of the previous-generation _blocked kernels, kept verbatim as
-// the mid-tier reference of the perf trajectory.
-constexpr std::size_t kTileM = 64;
-constexpr std::size_t kTileN = 64;
-constexpr std::size_t kTileK = 256;
-
 // Square tile of the blocked transposes: a 32×32 double tile of source and
 // destination together stay well inside L1.
 constexpr std::size_t kTransposeTile = 32;
@@ -199,92 +193,6 @@ void symm_lower_left_naive(const ConstMatrixView& s_lower,
       const double* brow = b.data() + j * b.ld();
       double* crow = c.data() + i * c.ld();
       for (std::size_t t = 0; t < m; ++t) crow[t] += s * brow[t];
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Previous-generation blocked kernels (perf-trajectory reference)
-// ---------------------------------------------------------------------------
-
-void gemm_nt_blocked(const ConstMatrixView& a, const ConstMatrixView& b,
-                     const MatrixView& c) {
-  PARSYRK_CHECK(a.rows() == c.rows() && b.rows() == c.cols() &&
-                a.cols() == b.cols());
-  const std::size_t m = c.rows(), n = c.cols(), kk = a.cols();
-  for (std::size_t i0 = 0; i0 < m; i0 += kTileM) {
-    const std::size_t im = std::min(i0 + kTileM, m);
-    for (std::size_t j0 = 0; j0 < n; j0 += kTileN) {
-      const std::size_t jm = std::min(j0 + kTileN, n);
-      for (std::size_t k0 = 0; k0 < kk; k0 += kTileK) {
-        const std::size_t km = std::min(k0 + kTileK, kk);
-        for (std::size_t i = i0; i < im; ++i) {
-          const double* arow = a.data() + i * a.ld();
-          double* crow = c.data() + i * c.ld();
-          for (std::size_t j = j0; j < jm; ++j) {
-            const double* brow = b.data() + j * b.ld();
-            double acc = 0.0;
-            for (std::size_t k = k0; k < km; ++k) acc += arow[k] * brow[k];
-            crow[j] += acc;
-          }
-        }
-      }
-    }
-  }
-}
-
-void syrk_lower_blocked(const ConstMatrixView& a, const MatrixView& c) {
-  PARSYRK_CHECK(c.rows() == c.cols() && a.rows() == c.rows());
-  const std::size_t m = c.rows(), kk = a.cols();
-  for (std::size_t i0 = 0; i0 < m; i0 += kTileM) {
-    const std::size_t im = std::min(i0 + kTileM, m);
-    for (std::size_t j0 = 0; j0 <= i0; j0 += kTileN) {
-      const std::size_t jm = std::min(j0 + kTileN, m);
-      for (std::size_t k0 = 0; k0 < kk; k0 += kTileK) {
-        const std::size_t km = std::min(k0 + kTileK, kk);
-        for (std::size_t i = i0; i < im; ++i) {
-          const double* arow = a.data() + i * a.ld();
-          double* crow = c.data() + i * c.ld();
-          const std::size_t jend = std::min(jm, i + 1);
-          for (std::size_t j = j0; j < jend; ++j) {
-            const double* brow = a.data() + j * a.ld();
-            double acc = 0.0;
-            for (std::size_t k = k0; k < km; ++k) acc += arow[k] * brow[k];
-            crow[j] += acc;
-          }
-        }
-      }
-    }
-  }
-}
-
-void syr2k_lower_blocked(const ConstMatrixView& a, const ConstMatrixView& b,
-                         const MatrixView& c) {
-  PARSYRK_CHECK(c.rows() == c.cols() && a.rows() == c.rows() &&
-                b.rows() == a.rows() && b.cols() == a.cols());
-  const std::size_t m = c.rows(), kk = a.cols();
-  for (std::size_t i0 = 0; i0 < m; i0 += kTileM) {
-    const std::size_t im = std::min(i0 + kTileM, m);
-    for (std::size_t j0 = 0; j0 <= i0; j0 += kTileN) {
-      const std::size_t jm = std::min(j0 + kTileN, m);
-      for (std::size_t k0 = 0; k0 < kk; k0 += kTileK) {
-        const std::size_t km = std::min(k0 + kTileK, kk);
-        for (std::size_t i = i0; i < im; ++i) {
-          const double* ai = a.data() + i * a.ld();
-          const double* bi = b.data() + i * b.ld();
-          double* crow = c.data() + i * c.ld();
-          const std::size_t jend = std::min(jm, i + 1);
-          for (std::size_t j = j0; j < jend; ++j) {
-            const double* aj = a.data() + j * a.ld();
-            const double* bj = b.data() + j * b.ld();
-            double acc = 0.0;
-            for (std::size_t k = k0; k < km; ++k) {
-              acc += ai[k] * bj[k] + bi[k] * aj[k];
-            }
-            crow[j] += acc;
-          }
-        }
-      }
     }
   }
 }

@@ -4,16 +4,13 @@
 //   * gemm_nt:    C += A · Bᵀ          (paper Alg. 2, line 16 "Local-GEMM")
 //   * syrk_lower: C += A · Aᵀ (lower)  (paper Algs. 1–2, "Local-SYRK")
 //
-// Three tiers per kernel:
+// Two tiers per kernel:
 //   * the unsuffixed kernels run the packed micro-kernel engine (pack.hpp +
 //     ukernel.hpp): BLIS-style packed panels, a register-blocked FMA
 //     micro-tile, per-worker arena scratch (arena.hpp) — the production
 //     path every SPMD rank executes. The triangular kernels also store
 //     into row-packed lower storage (the _packed twins), which is what
 //     Alg. 1 reduce-scatters;
-//   * the _blocked variants are the previous generation (cache tiling over
-//     the raw row-major operands, no packing) kept as the mid-tier
-//     reference point of the BENCH_KERNELS.json perf trajectory;
 //   * the _naive variants are the triple-loop oracles the tests compare
 //     everything against.
 #pragma once
@@ -28,10 +25,6 @@ namespace parsyrk {
 /// C (m×n) += A (m×k) · Bᵀ where B is n×k. Packed micro-kernel engine.
 void gemm_nt(const ConstMatrixView& a, const ConstMatrixView& b,
              const MatrixView& c);
-
-/// Previous-generation cache-blocked gemm_nt (no packing).
-void gemm_nt_blocked(const ConstMatrixView& a, const ConstMatrixView& b,
-                     const MatrixView& c);
 
 /// Reference implementation of gemm_nt (triple loop, no tiling).
 void gemm_nt_naive(const ConstMatrixView& a, const ConstMatrixView& b,
@@ -48,9 +41,6 @@ void syrk_lower(const ConstMatrixView& a, const MatrixView& c);
 /// zeroed buffer gives bitwise the lower triangle of a zeroed dense C.
 void syrk_lower_packed(const ConstMatrixView& a, std::span<double> c);
 
-/// Previous-generation cache-blocked syrk_lower (no packing).
-void syrk_lower_blocked(const ConstMatrixView& a, const MatrixView& c);
-
 /// Reference implementation of syrk_lower.
 void syrk_lower_naive(const ConstMatrixView& a, const MatrixView& c);
 
@@ -62,10 +52,6 @@ void syr2k_lower(const ConstMatrixView& a, const ConstMatrixView& b,
 /// syr2k_lower into row-packed lower storage, as syrk_lower_packed.
 void syr2k_lower_packed(const ConstMatrixView& a, const ConstMatrixView& b,
                         std::span<double> c);
-
-/// Previous-generation cache-blocked syr2k_lower (no packing).
-void syr2k_lower_blocked(const ConstMatrixView& a, const ConstMatrixView& b,
-                         const MatrixView& c);
 
 /// Reference implementation of syr2k_lower.
 void syr2k_lower_naive(const ConstMatrixView& a, const ConstMatrixView& b,

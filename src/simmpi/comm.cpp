@@ -57,12 +57,14 @@ std::vector<double> watched_pop(World* world, Mailbox& mb, const Envelope& env,
 
 /// Appends kLedgerImbalance findings when a quiesced job's double-entry
 /// accounting does not balance: per phase, words/messages sent must equal
-/// words/messages received, both overall and on the inter-node tier.
+/// words/messages received, both overall and on the inter-node tier. Walks
+/// the whole phase table, "default" included (phases without traffic
+/// balance trivially).
 void append_ledger_balance(const CostLedger& ledger,
                            const CostLedger::Snapshot& snap, int rank_begin,
                            int rank_end, bool check_inter, std::uint64_t job,
                            verify::VerifyReport& report) {
-  for (const std::string& phase : ledger.phases()) {
+  for (const std::string& phase : ledger.phase_table()) {
     const CostSummary s =
         ledger.summary_since(snap, phase, rank_begin, rank_end);
     const bool balanced = s.total.words_sent == s.total.words_recv &&
@@ -201,7 +203,7 @@ void World::set_topology(int ranks_per_node) {
 
 void World::enable_tracing(std::size_t capacity_per_rank) {
   if (trace_sink_) return;
-  trace_sink_ = std::make_unique<TraceSink>(size(), capacity_per_rank,
+  trace_sink_ = std::make_unique<TraceSink>(ledger_, size(), capacity_per_rank,
                                             folded() ? physical_ : 0);
   if (ranks_per_node_ > 1) {
     trace_sink_->set_ranks_per_node(static_cast<std::uint32_t>(ranks_per_node_));
@@ -211,6 +213,7 @@ void World::enable_tracing(std::size_t capacity_per_rank) {
 void World::disable_tracing() { trace_sink_.reset(); }
 
 void World::begin_job() {
+  ledger_.begin_ranks(0, size());
   if (trace_sink_) trace_sink_->begin_job(jobs_run_ + 1);
   if (verifier_) verifier_->begin_scope(0, size(), jobs_run_ + 1);
   std::fill(world_group_->handle_gen.begin(), world_group_->handle_gen.end(),
@@ -350,6 +353,7 @@ RangeJob World::launch_ranks(int rank_begin, int rank_end,
                   "launch_ranks range [", rank_begin, ", ", rank_end,
                   ") invalid for a world of ", size(), " ranks");
   const std::uint64_t job_id = ++jobs_run_;
+  ledger_.begin_ranks(rank_begin, rank_end);
   if (trace_sink_) trace_sink_->begin_ranks(rank_begin, rank_end);
 
   // One job epoch for this range: reset the handle generations of every
@@ -484,67 +488,14 @@ std::shared_ptr<detail::Group> World::intern_group(
 
 void Comm::set_phase(const std::string& phase) {
   world_->ledger().set_phase(world_rank(), phase);
-  if (TraceSink* sink = world_->trace_sink()) {
-    sink->set_phase(world_rank(), phase);
-  }
-}
-
-void Comm::send_tagged(int dst, std::int64_t tag,
-                       std::span<const double> data) {
-  PARSYRK_CHECK_MSG(dst >= 0 && dst < size() && dst != rank_,
-                    "bad destination ", dst, " from rank ", rank_);
-  // Co-located endpoints (same physical rank under folding) move data within
-  // one processor's memory: delivered, but not communication.
-  if (!mute_ledger_ &&
-      !world_->colocated(world_rank(), group_->world_ranks[dst])) {
-    world_->ledger().record_send(
-        world_rank(), data.size(),
-        world_->tier_between(world_rank(), group_->world_ranks[dst]));
-    if (TraceSink* sink = world_->trace_sink()) {
-      sink->record(world_rank(), group_->world_ranks[dst],
-                   op_kind_.value_or(OpKind::kPointToPoint), TraceDir::kSend,
-                   data.size());
-    }
-  }
-  if (verify::Verifier* v = world_->verifier()) {
-    v->on_message(world_rank(), group_->world_ranks[dst], data.size(),
-                  mute_ledger_);
-  }
-  Message msg;
-  msg.env = Envelope{group_->id, rank_, tag};
-  msg.payload.assign(data.begin(), data.end());
-  world_->mailbox(group_->world_ranks[dst]).push(std::move(msg));
-}
-
-std::vector<double> Comm::recv_tagged(int src, std::int64_t tag) {
-  PARSYRK_CHECK_MSG(src >= 0 && src < size() && src != rank_,
-                    "bad source ", src, " at rank ", rank_);
-  auto payload =
-      watched_pop(world_, world_->mailbox(world_rank()),
-                  Envelope{group_->id, src, tag}, world_rank(),
-                  group_->world_ranks[src]);
-  if (!mute_ledger_ &&
-      !world_->colocated(world_rank(), group_->world_ranks[src])) {
-    world_->ledger().record_recv(
-        world_rank(), payload.size(),
-        world_->tier_between(world_rank(), group_->world_ranks[src]));
-    if (TraceSink* sink = world_->trace_sink()) {
-      sink->record(world_rank(), group_->world_ranks[src],
-                   op_kind_.value_or(OpKind::kPointToPoint), TraceDir::kRecv,
-                   payload.size());
-    }
-  }
-  return payload;
 }
 
 void Comm::send(int dst, int tag, std::span<const double> data) {
-  PARSYRK_REQUIRE(tag >= 0, "user tags must be non-negative, got ", tag);
-  send_tagged(dst, tag, data);
+  isend(dst, tag, data);  // born complete
 }
 
 std::vector<double> Comm::recv(int src, int tag) {
-  PARSYRK_REQUIRE(tag >= 0, "user tags must be non-negative, got ", tag);
-  return recv_tagged(src, tag);
+  return irecv(src, tag).take();
 }
 
 void Comm::barrier() {
@@ -632,8 +583,7 @@ struct OpState {
   int rank = 0;  // group rank of the posting side
   OpKind kind = OpKind::kPointToPoint;
   bool mute = false;
-  std::string phase;              // ledger phase at post time
-  std::uint32_t trace_phase = 0;  // trace phase id at post time
+  std::uint32_t phase = CostLedger::kDefaultPhase;  // ledger phase id
 
   std::vector<Round> rounds;
   std::size_t current = 0;
@@ -659,35 +609,31 @@ struct OpState {
                             rounds.size() - current);
   }
 
+  /// The one accounting step of every counted message endpoint: the ledger
+  /// and the trace record it under the posting context. Muted setup traffic
+  /// and co-located endpoints (one physical processor under folding: the
+  /// data moves within its memory) are delivered but not communication.
+  void account(int peer, Dir dir, std::size_t words) {
+    const int peer_world = group->world_ranks[peer];
+    if (mute || world->colocated(world_rank(), peer_world)) return;
+    world->ledger().record(world_rank(), phase, dir, words,
+                           world->tier_between(world_rank(), peer_world));
+    if (TraceSink* sink = world->trace_sink()) {
+      sink->record(world_rank(), peer_world, kind, dir, words, phase);
+    }
+  }
+
   void post_send(Send& s) {
     std::vector<double> payload = s.build ? s.build() : std::move(s.payload);
     const int dst_world = group->world_ranks[s.dst];
     if (verify::Verifier* v = world->verifier()) {
       v->on_message(world_rank(), dst_world, payload.size(), mute);
     }
-    if (!mute && !world->colocated(world_rank(), dst_world)) {
-      world->ledger().record_send(world_rank(), payload.size(), phase,
-                                  world->tier_between(world_rank(), dst_world));
-      if (TraceSink* sink = world->trace_sink()) {
-        sink->record(world_rank(), dst_world, kind, TraceDir::kSend,
-                     payload.size(), trace_phase);
-      }
-    }
+    account(s.dst, Dir::kSend, payload.size());
     Message msg;
     msg.env = Envelope{group->id, rank, s.tag};
     msg.payload = std::move(payload);
     world->mailbox(dst_world).push(std::move(msg));
-  }
-
-  void record_recv(int src, std::size_t words) {
-    const int src_world = group->world_ranks[src];
-    if (mute || world->colocated(world_rank(), src_world)) return;
-    world->ledger().record_recv(world_rank(), words, phase,
-                                world->tier_between(world_rank(), src_world));
-    if (TraceSink* sink = world->trace_sink()) {
-      sink->record(world_rank(), src_world, kind, TraceDir::kRecv, words,
-                   trace_phase);
-    }
   }
 
   void post_current_sends() {
@@ -722,7 +668,7 @@ struct OpState {
           ready = false;
           continue;
         }
-        record_recv(rv.src, got->size());
+        account(rv.src, Dir::kRecv, got->size());
         rv.payload = std::move(*got);
         rv.done = true;
       }
@@ -744,7 +690,7 @@ struct OpState {
         auto payload = watched_pop(world, world->mailbox(world_rank()),
                                    Envelope{group->id, rv.src, rv.tag},
                                    world_rank(), group->world_ranks[rv.src]);
-        record_recv(rv.src, payload.size());
+        account(rv.src, Dir::kRecv, payload.size());
         rv.payload = std::move(payload);
         rv.done = true;
       }
@@ -818,10 +764,7 @@ std::shared_ptr<detail::OpState> Comm::make_op(OpKind kind) const {
   st->rank = rank_;
   st->kind = op_kind_.value_or(kind);
   st->mute = mute_ledger_;
-  st->phase = world_->ledger().current_phase(world_rank());
-  if (TraceSink* sink = world_->trace_sink()) {
-    st->trace_phase = sink->current_phase_id(world_rank());
-  }
+  st->phase = world_->ledger().phase_of(world_rank());
   return st;
 }
 

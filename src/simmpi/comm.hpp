@@ -37,9 +37,10 @@ class Comm;
 
 namespace detail {
 
-/// State of one in-flight nonblocking operation (defined in comm.cpp): the
-/// posting context (world, group, rank, phase, op kind) captured at
-/// creation, plus the operation's round schedule and partial results.
+/// State of one in-flight operation (defined in comm.cpp): the posting
+/// context (world, group, rank, ledger phase id, op kind) captured at
+/// creation, plus the operation's round schedule and partial results. It is
+/// the only code that posts, receives and accounts a message.
 struct OpState;
 
 }  // namespace detail
@@ -185,12 +186,16 @@ class Comm {
   int world_rank() const { return group_->world_ranks[rank_]; }
   World& world() const { return *world_; }
 
-  /// Labels subsequent traffic of this rank in the cost ledger.
+  /// Labels subsequent traffic of this rank in the cost ledger (and the
+  /// trace, which stamps the ledger's phase ids). Every job starts in
+  /// "default".
   void set_phase(const std::string& phase);
 
-  /// Buffered (eager) point-to-point send. Self-sends are disallowed; ranks
-  /// keep their own data local.
+  /// Buffered (eager) point-to-point send: isend(), whose handle is born
+  /// complete. Self-sends are disallowed; ranks keep their own data local.
+  /// User tags are non-negative.
   void send(int dst, int tag, std::span<const double> data);
+  /// Blocking receive: irecv(src, tag).take().
   std::vector<double> recv(int src, int tag);
 
   void barrier();
@@ -292,11 +297,12 @@ class Comm {
 
   // ---- Nonblocking primitives (the icollect engine) ----
   //
-  // Every blocking collective above is a thin create-then-wait() wrapper
-  // over this engine, so blocking and nonblocking runs share one schedule:
-  // the same tags, the same per-rank message order, the same ledger volume.
-  // A handle captures its ledger phase, trace phase, and operation kind at
-  // POST time; every message it later moves is attributed to that posting
+  // Every blocking operation above — send/recv and the collectives — is a
+  // thin create-then-wait() wrapper over this engine, so blocking and
+  // nonblocking runs share one schedule: the same tags, the same per-rank
+  // message order, the same ledger volume. A handle captures one ledger
+  // phase id (which the trace stamps too) and its operation kind at POST
+  // time; every message it later moves is attributed to that posting
   // context even if the rank has since changed phase or a ledger snapshot
   // was taken at a job boundary (in-flight attribution).
   //
@@ -362,18 +368,15 @@ class Comm {
     return -((tag_base_ + ++op_seq_) * kTagStride);
   }
 
-  void send_tagged(int dst, std::int64_t tag, std::span<const double> data);
-  std::vector<double> recv_tagged(int src, std::int64_t tag);
-
   /// Verify-mode hook, called right after next_op_tag() by every collective
   /// builder with the op's *structural* kind and a kind-specific layout
   /// signature. No-op unless the world is verifying.
   void note_collective(OpKind kind, std::uint64_t signature,
                        std::int64_t count, int root = -1) const;
 
-  /// Allocates engine state for one nonblocking operation, capturing the
-  /// posting context (kind honours an enclosing OpScope; phase labels are
-  /// snapshotted from the ledger/trace).
+  /// Allocates engine state for one operation, capturing the posting
+  /// context (kind honours an enclosing OpScope; the phase id is read from
+  /// the ledger).
   std::shared_ptr<detail::OpState> make_op(OpKind kind) const;
 
   static constexpr std::int64_t kTagStride = 4096;
@@ -534,11 +537,12 @@ class World {
   //     every in-flight job completed and recover_after_failure() ran
   //     (poisoning is world-wide, so innocent in-flight jobs abort too).
   //
-  // Each launch is one job epoch for its range only: the trace sink's
-  // range ordinals reset, and the handle generations of every group fully
-  // contained in the range reset, so the job replays exactly the tag and
-  // trace schedule of the same job run solo on a fresh world of the range's
-  // size — the property that keeps streamed results bitwise-identical.
+  // Each launch is one job epoch for its range only: the range's ledger
+  // phases return to "default", the trace sink's range ordinals reset, and
+  // the handle generations of every group fully contained in the range
+  // reset, so the job replays exactly the tag and trace schedule of the
+  // same job run solo on a fresh world of the range's size — the property
+  // that keeps streamed results bitwise-identical.
 
   /// Launches `body` on ranks [rank_begin, rank_end) of an unfolded, flat
   /// world and returns immediately. Each rank's Comm spans the range
@@ -558,7 +562,7 @@ class World {
  private:
   friend class Comm;
   friend class RangeJob;
-  friend struct detail::OpState;  // the nonblocking engine posts/pops directly
+  friend struct detail::OpState;  // the engine posts/pops directly
 
   Mailbox& mailbox(int world_rank) { return *mailboxes_[world_rank]; }
 
@@ -569,7 +573,8 @@ class World {
                                               const std::vector<int>& members);
 
   /// Starts a job epoch: resets every group's per-rank handle generations
-  /// so collective tag allocation restarts exactly as on a fresh world.
+  /// and every rank's ledger phase, so collective tag allocation and phase
+  /// attribution restart exactly as on a fresh world.
   void begin_job();
 
   /// Failure propagation: wakes every blocked receive and barrier.

@@ -99,15 +99,15 @@ void TraceRing::drain(std::vector<TraceEvent>& out) {
 
 }  // namespace detail
 
-TraceSink::TraceSink(int num_ranks, std::size_t capacity_per_rank,
+TraceSink::TraceSink(const CostLedger& ledger, int num_ranks,
+                     std::size_t capacity_per_rank,
                      std::uint32_t physical_ranks)
-    : physical_ranks_(physical_ranks) {
+    : ledger_(ledger), physical_ranks_(physical_ranks) {
   PARSYRK_CHECK(num_ranks >= 1);
   per_rank_.reserve(num_ranks);
   for (int r = 0; r < num_ranks; ++r) {
     per_rank_.push_back(std::make_unique<PerRank>(capacity_per_rank));
   }
-  intern("default");  // id 0, matching the ledger's initial phase
 }
 
 void TraceSink::begin_job(std::uint64_t job_id) {
@@ -124,41 +124,20 @@ void TraceSink::begin_ranks(int rank_begin, int rank_end) {
     discard.clear();
     pr.ring.drain(discard);
     pr.ring.reset_dropped();
-    pr.phase = 0;  // back to "default", exactly as on a fresh world
     pr.ordinal = 0;
     pr.overlaps.clear();
   }
 }
 
-std::uint32_t TraceSink::intern(const std::string& phase) {
-  std::lock_guard lock(phases_mu_);
-  auto it = phase_ids_.find(phase);
-  if (it != phase_ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(phase_names_.size());
-  phase_names_.push_back(phase);
-  phase_ids_.emplace(phase, id);
-  return id;
-}
-
-void TraceSink::set_phase(int rank, const std::string& phase) {
-  PARSYRK_CHECK(rank >= 0 && rank < ranks());
-  per_rank_[rank]->phase = intern(phase);
-}
-
-void TraceSink::record(int rank, int peer, OpKind kind, TraceDir dir,
-                       std::uint64_t words) {
-  record(rank, peer, kind, dir, words, per_rank_[rank]->phase);
-}
-
-void TraceSink::record(int rank, int peer, OpKind kind, TraceDir dir,
-                       std::uint64_t words, std::uint32_t phase_id) {
+void TraceSink::record(int rank, int peer, OpKind kind, Dir dir,
+                       std::uint64_t words, std::uint32_t phase) {
   PerRank& pr = *per_rank_[rank];
   TraceEvent e;
   e.ordinal = pr.ordinal++;
   e.words = words;
   e.rank = rank;
   e.peer = peer;
-  e.phase = phase_id;
+  e.phase = phase;
   e.kind = kind;
   e.dir = dir;
   pr.ring.try_push(e);
@@ -212,30 +191,29 @@ JobTrace TraceSink::drain_ranks(bool poisoned, int rank_begin, int rank_end,
   return t;
 }
 
-void TraceSink::canonicalize_phases(JobTrace& t) {
-  // Canonicalize the phase table: ids in the raw events reflect interning
-  // order, which can differ run-to-run when ranks race to name phases. The
-  // exported table holds only the phases this job used, sorted by name, and
-  // events are remapped — so equal schedules yield bitwise-equal traces.
-  std::vector<std::string> used_names;
-  {
-    std::lock_guard lock(phases_mu_);
-    std::vector<bool> used(phase_names_.size(), false);
-    for (const auto& e : t.events) used[e.phase] = true;
-    for (std::size_t i = 0; i < used.size(); ++i) {
-      if (used[i]) used_names.push_back(phase_names_[i]);
-    }
+void TraceSink::canonicalize_phases(JobTrace& t) const {
+  // Canonicalize the phase table: ledger ids reflect interning order, which
+  // can differ run-to-run when ranks race to name phases and grows across
+  // jobs on a warm world. The exported table holds only the phases this job
+  // used, sorted by name, and events are remapped — so equal schedules
+  // yield bitwise-equal traces.
+  const std::vector<std::string> names = ledger_.phase_table();
+  std::vector<bool> used(names.size(), false);
+  for (const auto& e : t.events) used[e.phase] = true;
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t i = 0; i < used.size(); ++i) {
+    if (used[i]) ids.push_back(i);
   }
-  std::sort(used_names.begin(), used_names.end());
-  std::map<std::string, std::uint32_t> canon;
-  for (std::size_t i = 0; i < used_names.size(); ++i) {
-    canon.emplace(used_names[i], static_cast<std::uint32_t>(i));
+  std::sort(ids.begin(), ids.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return names[a] < names[b];
+  });
+  std::vector<std::uint32_t> canon(names.size(), 0);
+  t.phases.clear();
+  for (std::uint32_t id : ids) {
+    canon[id] = static_cast<std::uint32_t>(t.phases.size());
+    t.phases.push_back(names[id]);
   }
-  {
-    std::lock_guard lock(phases_mu_);
-    for (auto& e : t.events) e.phase = canon.at(phase_names_[e.phase]);
-  }
-  t.phases = std::move(used_names);
+  for (auto& e : t.events) e.phase = canon[e.phase];
 }
 
 }  // namespace parsyrk::comm

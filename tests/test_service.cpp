@@ -211,14 +211,25 @@ TEST(SyrkService, BatchedJobsMatchSoloRunsBitwise) {
   const std::uint64_t caps[] = {2, 3, 4, 3};
   std::vector<Matrix> inputs;
   inputs.reserve(4);
-  std::vector<service::SyrkTicket> tickets;
   for (int j = 0; j < 4; ++j) {
     inputs.push_back(random_matrix(24, 48, 40 + static_cast<unsigned>(j)));
+  }
+  // A topology'd head runs solo on the scheduler thread, so the four small
+  // jobs, submitted back to back behind it, queue until it finishes and then
+  // leave together in one placement step (12 ranks fit all four): every job
+  // after the first is launched with another in flight, however the
+  // submitting thread is scheduled against theirs.
+  Matrix head_a = random_matrix(1024, 512, 39);
+  service::SyrkTicket head =
+      svc.submit(core::SyrkRequest(head_a).on_procs(12).with_topology(4));
+  std::vector<service::SyrkTicket> tickets;
+  for (int j = 0; j < 4; ++j) {
     tickets.push_back(svc.submit(
         core::SyrkRequest(inputs[static_cast<std::size_t>(j)])
             .on_procs(caps[j])
             .with_trace()));
   }
+  EXPECT_FALSE(head.wait().batched);
   std::vector<service::SyrkResult> results;
   for (auto& t : tickets) results.push_back(t.wait());
   svc.drain();

@@ -5,13 +5,13 @@
 // splitting under load.
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/session.hpp"
 #include "matrix/random.hpp"
 #include "simmpi/comm.hpp"
-#include "simmpi/job_queue.hpp"
 #include "simmpi/worker_pool.hpp"
 #include "support/rng.hpp"
 
@@ -217,11 +217,11 @@ TEST(FuzzStress, ConcurrentDisjointSubcommunicators) {
 class FuzzJobQueues : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzJobQueues, RandomJobSequencesWithFailures) {
-  // Random sequences of SPMD jobs drained through one JobQueue on a warm
-  // pool; one randomly chosen job throws on a random rank at a random
-  // point. Exactly that job must error, every other job must produce the
-  // same results and per-job costs as on a fresh world, and the pool must
-  // survive (no threads created after warmup).
+  // Random sequences of SPMD jobs run back to back on one warm world, each
+  // scoped by a ledger snapshot; one randomly chosen job throws on a random
+  // rank at a random point. Exactly that job must error, every other job
+  // must produce the same results and per-job costs as on a fresh world,
+  // and the pool must survive (no threads created after warmup).
   const std::uint64_t seed = GetParam();
   Rng planner(seed);
   const int p = static_cast<int>(planner.uniform_int(2, 11));
@@ -284,19 +284,23 @@ TEST_P(FuzzJobQueues, RandomJobSequencesWithFailures) {
   WorkerPool pool;
   World world(p, pool);
   const std::uint64_t warm = pool.threads_created();
-  JobQueue queue(world);
-  for (int j = 0; j < jobs; ++j) queue.enqueue(make_body(j));
-  auto results = queue.drain();
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(jobs));
   for (int j = 0; j < jobs; ++j) {
+    const CostLedger::Snapshot before = world.ledger().snapshot();
+    std::exception_ptr error;
+    try {
+      world.run(make_body(j));
+    } catch (...) {
+      error = std::current_exception();
+    }
     if (j == bad_job) {
-      EXPECT_FALSE(results[j].ok()) << "job " << j;
-      EXPECT_THROW(results[j].rethrow(), std::runtime_error);
+      ASSERT_NE(error, nullptr) << "job " << j;
+      EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
       continue;
     }
-    EXPECT_TRUE(results[j].ok()) << "job " << j;
-    EXPECT_EQ(results[j].cost.total, fresh[j].total) << "job " << j;
-    EXPECT_EQ(results[j].cost.max, fresh[j].max) << "job " << j;
+    EXPECT_EQ(error, nullptr) << "job " << j;
+    const CostSummary cost = world.ledger().summary_since(before);
+    EXPECT_EQ(cost.total, fresh[j].total) << "job " << j;
+    EXPECT_EQ(cost.max, fresh[j].max) << "job " << j;
   }
   EXPECT_EQ(pool.threads_created(), warm);
   // The world stays fully usable after the drained failure.

@@ -23,7 +23,7 @@ namespace {
 
 using comm::JobTrace;
 using comm::OpKind;
-using comm::TraceDir;
+using comm::Dir;
 using comm::TraceEvent;
 
 /// Runs one traced job on a private world and returns its drained trace.
@@ -81,7 +81,7 @@ TEST(Trace, PointToPointEventsAndOrdinals) {
   const TraceEvent& s0 = t.events[0];
   EXPECT_EQ(s0.rank, 0);
   EXPECT_EQ(s0.peer, 1);
-  EXPECT_EQ(s0.dir, TraceDir::kSend);
+  EXPECT_EQ(s0.dir, Dir::kSend);
   EXPECT_EQ(s0.kind, OpKind::kPointToPoint);
   EXPECT_EQ(s0.words, 3u);
   EXPECT_EQ(s0.ordinal, 0u);
@@ -90,7 +90,7 @@ TEST(Trace, PointToPointEventsAndOrdinals) {
   const TraceEvent& r0 = t.events[2];
   EXPECT_EQ(r0.rank, 1);
   EXPECT_EQ(r0.peer, 0);
-  EXPECT_EQ(r0.dir, TraceDir::kRecv);
+  EXPECT_EQ(r0.dir, Dir::kRecv);
   EXPECT_EQ(r0.words, 3u);
   EXPECT_EQ(r0.ordinal, 0u);
 }

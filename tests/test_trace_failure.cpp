@@ -4,12 +4,13 @@
 // for every surrounding job, exactly as the ledger does for costs.
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "simmpi/comm.hpp"
-#include "simmpi/job_queue.hpp"
 #include "simmpi/trace.hpp"
 #include "simmpi/worker_pool.hpp"
 #include "support/rng.hpp"
@@ -34,6 +35,28 @@ std::function<void(Comm&)> rounds_body(int rounds, int n, int fail_round,
   };
 }
 
+/// One job on a warm traced world, with its job-scoped ledger cost and the
+/// trace drained at the same boundary (flagged poisoned when the job
+/// threw). A throwing job's error is kept here, not propagated.
+struct TracedJob {
+  CostSummary cost;
+  std::exception_ptr error;
+  JobTrace trace;
+};
+
+TracedJob run_traced(World& world, const std::function<void(Comm&)>& body) {
+  TracedJob job;
+  const CostLedger::Snapshot before = world.ledger().snapshot();
+  try {
+    world.run(body);
+  } catch (...) {
+    job.error = std::current_exception();
+  }
+  job.cost = world.ledger().summary_since(before);
+  job.trace = world.trace_sink()->drain(/*poisoned=*/job.error != nullptr);
+  return job;
+}
+
 /// The trace of one clean job on a fresh traced world, serialized.
 std::string fresh_trace_bytes(int p, int rounds, int n) {
   World world(p);
@@ -46,21 +69,23 @@ TEST(TraceFailure, PoisonedJobFlushesFlaggedTrace) {
   const int p = 4;
   World world(p);
   world.enable_tracing();
-  JobQueue queue(world);
-  queue.enqueue("good1", rounds_body(3, 2, -1, 0));
-  queue.enqueue("bad", rounds_body(3, 2, /*fail_round=*/1, /*bad_rank=*/2));
-  queue.enqueue("good2", rounds_body(3, 2, -1, 0));
-  const auto results = queue.drain();
+  std::vector<TracedJob> results;
+  results.push_back(run_traced(world, rounds_body(3, 2, -1, 0)));
+  results.push_back(run_traced(
+      world, rounds_body(3, 2, /*fail_round=*/1, /*bad_rank=*/2)));
+  results.push_back(run_traced(world, rounds_body(3, 2, -1, 0)));
   ASSERT_EQ(results.size(), 3u);
 
-  ASSERT_TRUE(results[0].ok());
-  ASSERT_FALSE(results[1].ok());
-  ASSERT_TRUE(results[2].ok());
+  ASSERT_EQ(results[0].error, nullptr);
+  ASSERT_NE(results[1].error, nullptr);
+  ASSERT_EQ(results[2].error, nullptr);
 
   // Every job — including the poisoned one — drained a trace.
-  for (const auto& res : results) ASSERT_TRUE(res.trace.has_value());
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    ASSERT_EQ(results[j].trace.job_id, j + 1) << "job " << j;
+  }
 
-  const JobTrace& bad = *results[1].trace;
+  const JobTrace& bad = results[1].trace;
   EXPECT_TRUE(bad.poisoned);
   EXPECT_EQ(bad.dropped, 0u);
   // Round 0 completed on all ranks before the failure, so the partial
@@ -74,40 +99,36 @@ TEST(TraceFailure, PoisonedJobFlushesFlaggedTrace) {
   // to a fresh world's run of the same body, and consistent with their own
   // job-scoped ledger costs.
   const std::string fresh = fresh_trace_bytes(p, 3, 2);
-  EXPECT_EQ(trace::to_binary(*results[0].trace), fresh);
-  EXPECT_EQ(trace::to_binary(*results[2].trace), fresh);
+  EXPECT_EQ(trace::to_binary(results[0].trace), fresh);
+  EXPECT_EQ(trace::to_binary(results[2].trace), fresh);
   for (const int j : {0, 2}) {
-    const trace::Rollup roll(*results[j].trace);
+    const trace::Rollup roll(results[j].trace);
     EXPECT_EQ(roll.summary().total, results[j].cost.total) << "job " << j;
     EXPECT_EQ(roll.summary().max, results[j].cost.max) << "job " << j;
   }
-  EXPECT_FALSE(results[0].trace->poisoned);
-  EXPECT_FALSE(results[2].trace->poisoned);
+  EXPECT_FALSE(results[0].trace.poisoned);
+  EXPECT_FALSE(results[2].trace.poisoned);
 }
 
 TEST(TraceFailure, ImmediateFailureYieldsEmptyPoisonedTrace) {
   World world(3);
   world.enable_tracing();
-  JobQueue queue(world);
-  queue.enqueue(rounds_body(2, 1, /*fail_round=*/0, /*bad_rank=*/0));
-  const auto results = queue.drain();
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_FALSE(results[0].ok());
-  ASSERT_TRUE(results[0].trace.has_value());
-  EXPECT_TRUE(results[0].trace->poisoned);
+  const TracedJob result =
+      run_traced(world, rounds_body(2, 1, /*fail_round=*/0, /*bad_rank=*/0));
+  ASSERT_NE(result.error, nullptr);
+  EXPECT_TRUE(result.trace.poisoned);
   // Rank 0 threw before any message; peers may or may not have started
   // their sends — whatever was recorded must still round-trip cleanly.
-  const JobTrace parsed =
-      trace::from_binary(trace::to_binary(*results[0].trace));
+  const JobTrace parsed = trace::from_binary(trace::to_binary(result.trace));
   EXPECT_TRUE(parsed.poisoned);
-  EXPECT_EQ(parsed.events, results[0].trace->events);
+  EXPECT_EQ(parsed.events, result.trace.events);
 }
 
 class TraceFailureFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TraceFailureFuzz, RandomFailingSequencesKeepRecorderConsistent) {
-  // Random job sequences with one failing job, drained on one traced warm
-  // world: every clean job's trace must match a fresh traced world's bytes,
+  // Random job sequences with one failing job, run back to back on one
+  // traced warm world: every clean job's trace must match a fresh traced world's bytes,
   // and the world must keep producing fresh-identical traces afterwards.
   Rng planner(GetParam());
   const int p = static_cast<int>(planner.uniform_int(2, 8));
@@ -131,22 +152,19 @@ TEST_P(TraceFailureFuzz, RandomFailingSequencesKeepRecorderConsistent) {
   World world(p, pool);
   world.enable_tracing();
   const std::uint64_t warm = pool.threads_created();
-  JobQueue queue(world);
   for (int j = 0; j < jobs; ++j) {
-    queue.enqueue(rounds_body(3, sizes[j], fail_round[j], bad_rank));
-  }
-  const auto results = queue.drain();
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(jobs));
-  for (int j = 0; j < jobs; ++j) {
-    ASSERT_TRUE(results[j].trace.has_value()) << "job " << j;
+    const TracedJob result = run_traced(
+        world, rounds_body(3, sizes[j], fail_round[j], bad_rank));
+    ASSERT_EQ(result.trace.job_id, static_cast<std::uint64_t>(j + 1))
+        << "job " << j;
     if (j == bad_job) {
-      EXPECT_FALSE(results[j].ok()) << "job " << j;
-      EXPECT_TRUE(results[j].trace->poisoned) << "job " << j;
+      EXPECT_NE(result.error, nullptr) << "job " << j;
+      EXPECT_TRUE(result.trace.poisoned) << "job " << j;
       continue;
     }
-    EXPECT_TRUE(results[j].ok()) << "job " << j;
-    EXPECT_FALSE(results[j].trace->poisoned) << "job " << j;
-    EXPECT_EQ(trace::to_binary(*results[j].trace), fresh[j]) << "job " << j;
+    EXPECT_EQ(result.error, nullptr) << "job " << j;
+    EXPECT_FALSE(result.trace.poisoned) << "job " << j;
+    EXPECT_EQ(trace::to_binary(result.trace), fresh[j]) << "job " << j;
   }
   EXPECT_EQ(pool.threads_created(), warm);
 

@@ -6,21 +6,21 @@
 //
 //   PARSYRK_REGEN_GOLDEN=1 ./build/tests/test_trace_golden
 //
-// The second half asserts warm-equals-fresh: a warm session (or JobQueue)
-// that already ran other jobs must produce byte-identical traces to a
-// fresh world, which is what makes the committed goldens meaningful for
-// both execution models.
+// The second half asserts warm-equals-fresh: a warm session (or a warm
+// world running jobs back to back) that already ran other jobs must produce
+// byte-identical traces to a fresh world, which is what makes the committed
+// goldens meaningful for both execution models.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/session.hpp"
 #include "matrix/random.hpp"
 #include "simmpi/comm.hpp"
-#include "simmpi/job_queue.hpp"
 #include "simmpi/worker_pool.hpp"
 #include "trace/export.hpp"
 
@@ -134,8 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(TraceGoldenQueue, RepeatedJobsDrainIdenticalTraces) {
-  // The JobQueue boundary: the same SPMD body enqueued twice on one warm
-  // world drains two byte-identical traces, each equal to a fresh world's.
+  // The job boundary: the same SPMD body run twice on one warm world
+  // drains two byte-identical traces, each equal to a fresh world's.
   auto body = [](comm::Comm& comm) {
     comm.set_phase("gather");
     comm.all_gather(std::vector<double>(3, 1.0 * comm.rank()));
@@ -151,17 +151,14 @@ TEST(TraceGoldenQueue, RepeatedJobsDrainIdenticalTraces) {
 
   comm::World world(4);
   world.enable_tracing();
-  comm::JobQueue queue(world);
-  queue.enqueue("first", body);
-  queue.enqueue("second", body);
-  const auto results = queue.drain();
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& res : results) {
-    ASSERT_TRUE(res.ok());
-    ASSERT_TRUE(res.trace.has_value());
-    EXPECT_EQ(trace::to_binary(*res.trace), fresh);
+  std::vector<comm::JobTrace> traces;
+  for (int job = 0; job < 2; ++job) {
+    world.run(body);
+    traces.push_back(world.trace_sink()->drain(false));
   }
-  EXPECT_EQ(results[0].trace->job_id + 1, results[1].trace->job_id);
+  ASSERT_EQ(traces.size(), 2u);
+  for (const auto& t : traces) EXPECT_EQ(trace::to_binary(t), fresh);
+  EXPECT_EQ(traces[0].job_id + 1, traces[1].job_id);
 }
 
 }  // namespace

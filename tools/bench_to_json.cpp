@@ -34,7 +34,7 @@ using Clock = std::chrono::steady_clock;
 
 struct Row {
   std::string kernel;  // syrk_lower, gemm_nt, ...
-  std::string impl;    // naive | blocked | packed
+  std::string impl;    // naive | packed
   std::size_t n = 0;
   std::size_t k = 0;
   double gmacs_per_sec = 0.0;
@@ -89,7 +89,6 @@ std::vector<Row> run_suite(double min_time) {
                               [&] { c.fill(0.0); fn(a.view(), c.view()); }));
     };
     if (n <= 256) syrk_case("naive", syrk_lower_naive);
-    syrk_case("blocked", syrk_lower_blocked);
     syrk_case("packed", syrk_lower);
 
     const double syr2k_macs = double(n) * double(n) * double(k);
@@ -99,7 +98,6 @@ std::vector<Row> run_suite(double min_time) {
                    [&] { c.fill(0.0); fn(a.view(), b.view(), c.view()); }));
     };
     if (n <= 256) syr2k_case("naive", syr2k_lower_naive);
-    syr2k_case("blocked", syr2k_lower_blocked);
     syr2k_case("packed", syr2k_lower);
   }
   for (std::size_t n : sizes) {
@@ -113,7 +111,6 @@ std::vector<Row> run_suite(double min_time) {
                    [&] { c.fill(0.0); fn(a.view(), b.view(), c.view()); }));
     };
     if (n <= 256) gemm_case("naive", gemm_nt_naive);
-    gemm_case("blocked", gemm_nt_blocked);
     gemm_case("packed", gemm_nt);
 
     auto symm_case = [&](const char* impl, auto fn) {

@@ -24,7 +24,7 @@
 namespace {
 
 using parsyrk::comm::JobTrace;
-using parsyrk::comm::TraceDir;
+using parsyrk::comm::Dir;
 
 /// Adapts a decoded JobTrace to the runtime-independent lint input. The
 /// binary golden format does not persist topology metadata, so a flat
@@ -46,7 +46,7 @@ parsyrk::verify::LintInput to_lint_input(const JobTrace& trace,
     parsyrk::verify::LintEvent le;
     le.rank = e.rank;
     le.peer = e.peer;
-    le.sent = e.dir == TraceDir::kSend;
+    le.sent = e.dir == Dir::kSend;
     le.kind = static_cast<std::uint8_t>(e.kind);
     le.kind_name = parsyrk::comm::op_kind_name(e.kind);
     le.words = e.words;
