@@ -1,5 +1,6 @@
 #include "core/syrk.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -43,9 +44,10 @@ Matrix scatter_column_blocks(comm::Comm& comm, const ConstMatrixView& a,
 
 /// Alg. 2's owners with nothing to reduce (p2 = 1): every owned block is
 /// computed straight into its place in `c` and mirrored into the upper
-/// triangle. `c` arrives uninitialised and the kernels accumulate, so each
-/// block is zero-filled by its owner just before its kernel: page faults
-/// and zeroing run in parallel on the owning ranks.
+/// triangle. `c` arrives uninitialised (fresh pages, or a reused block
+/// holding a dropped matrix's entries) and the kernels accumulate, so each
+/// owner zero-fills its block just before its kernel: page faults and
+/// zeroing run in parallel on the owning ranks.
 void compute_in_place(const OwnedLayout& layout, const RowSource& rows,
                       const MatrixView& c) {
   const std::size_t nb = layout.nb;
@@ -61,7 +63,11 @@ void compute_in_place(const OwnedLayout& layout, const RowSource& rows,
   if (layout.diag) {
     const MatrixView cii = c.block(*layout.diag * nb, *layout.diag * nb, nb,
                                    nb);
-    cii.fill(0.0);
+    // The lower-only kernels never touch the strict upper triangle and the
+    // mirror overwrites it, so only the lower triangle needs zeros.
+    for (std::size_t i = 0; i < nb; ++i) {
+      std::fill_n(cii.data() + i * cii.ld(), i + 1, 0.0);
+    }
     const Operands rd = rows(*layout.diag);
     if (rd.count == 1) {
       syrk_lower(rd.a, cii);

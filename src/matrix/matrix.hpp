@@ -40,8 +40,9 @@ class Matrix {
       std::initializer_list<std::initializer_list<double>> rows);
 
   /// A rows×cols matrix whose entries are left uninitialised (no serial
-  /// zero-fill; pages are first touched by whoever writes them). Every
-  /// entry must be written before it is read.
+  /// zero-fill). The storage is fresh pages, first touched by whoever
+  /// writes them, or a reused block that still holds a dropped matrix's
+  /// entries (align.hpp). Every entry must be written before it is read.
   static Matrix uninitialized(std::size_t rows, std::size_t cols) {
     Matrix m;
     m.rows_ = rows;

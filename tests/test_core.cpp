@@ -340,8 +340,9 @@ TEST(ThreeD, ReducesToTwoDWhenP2IsOne) {
 // ---------------------------------------------------------------------------
 //
 // Entry points allocate the result without a zero-fill and rely on the ranks
-// writing every entry. Fresh pages read as zero, so a missed entry would go
-// unnoticed against an allocation; these tests prefill C with NaN instead.
+// writing every entry. The storage may be fresh pages, which read as zero,
+// or a reused block holding a dropped matrix's entries, so a missed entry
+// would go unnoticed or read stale data; these tests prefill C with NaN.
 
 struct AssemblyCase {
   const char* name;

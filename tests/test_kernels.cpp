@@ -3,14 +3,23 @@
 // past a micro-tile, non-tile-multiples, strided views), strict-upper
 // preservation for the triangular kernels, packed-store twins bitwise
 // against the dense stores, every micro-kernel tier the host can run
-// against the naive sum, tier selection, and the arena reuse guarantees the
-// worker pool relies on.
+// against the naive sum, tier selection, the arena reuse guarantees the
+// worker pool relies on, and the one-block store that hands a dropped
+// result's storage to the next request of its size.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
+#include "core/session.hpp"
 #include "matrix/arena.hpp"
 #include "matrix/kernels.hpp"
 #include "matrix/pack.hpp"
@@ -325,6 +334,187 @@ TEST(KernelArena, PoolWorkersReuseArenasAcrossWarmJobs) {
   // Warm same-shape jobs never touch the allocator.
   EXPECT_EQ(pool.arena_grow_count(), grows_cold);
 }
+
+// ---------------------------------------------------------------------------
+// The one-block store behind AlignedAllocator (align.hpp)
+// ---------------------------------------------------------------------------
+
+// skinny_planned's shape: C is 2048² doubles, exactly kKeptBlockBytes.
+constexpr std::size_t kSkinnyN1 = 2048;
+constexpr std::size_t kSkinnyN2 = 64;
+static_assert(kSkinnyN1 * kSkinnyN1 * sizeof(double) == kKeptBlockBytes);
+
+/// Drops a NaN-filled matrix of C's size, so the store keeps a dirty block
+/// that the next request's C gets back.
+void drop_nan_result() {
+  const Matrix dirty(kSkinnyN1, kSkinnyN1,
+                     std::numeric_limits<double>::quiet_NaN());
+}
+
+/// Every entry of `c` is finite and `c` matches the serial oracle.
+void expect_syrk_of(const Matrix& c, const Matrix& a) {
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    for (std::size_t j = 0; j < c.cols(); ++j) {
+      ASSERT_TRUE(std::isfinite(c(i, j))) << "C(" << i << ", " << j << ")";
+    }
+  }
+  const Matrix ref = syrk_reference(a.view());
+  EXPECT_LT(max_abs_diff(c.view(), ref.view()), kTol);
+}
+
+TEST(KeptBlock, WarmSameShapeRequestReusesIt) {
+  const Matrix a = random_matrix(kSkinnyN1, kSkinnyN2, 601);
+  core::Session session(1);
+  { const core::SyrkRun first = core::syrk(session, core::SyrkRequest(a)); }
+  const std::uint64_t reuses = kept_block_reuses();
+  const std::uint64_t allocations = large_block_allocations();
+  const core::SyrkRun second = core::syrk(session, core::SyrkRequest(a));
+  EXPECT_EQ(kept_block_reuses() - reuses, 1u);
+  EXPECT_EQ(large_block_allocations() - allocations, 0u);
+}
+
+TEST(KeptBlock, LiveResultsNeverShareStorage) {
+  const Matrix a = random_matrix(kSkinnyN1, kSkinnyN2, 602);
+  const Matrix b = random_matrix(kSkinnyN1, kSkinnyN2, 603);
+  core::Session session(1);
+  { const core::SyrkRun dropped = core::syrk(session, core::SyrkRequest(a)); }
+  const std::uint64_t allocations = large_block_allocations();
+  // The first takes the kept block; the second, asked for while the first
+  // is alive, must get storage of its own.
+  const core::SyrkRun ra = core::syrk(session, core::SyrkRequest(a));
+  const core::SyrkRun rb = core::syrk(session, core::SyrkRequest(b));
+  EXPECT_EQ(large_block_allocations() - allocations, 1u);
+  EXPECT_NE(ra.c.data(), rb.c.data());
+  expect_syrk_of(ra.c, a);
+  expect_syrk_of(rb.c, b);
+}
+
+TEST(KeptBlock, BlocksUnderThresholdBypassIt) {
+  drop_nan_result();
+  const std::uint64_t reuses = kept_block_reuses();
+  const std::uint64_t allocations = large_block_allocations();
+  // wide_1d's C: 1024² doubles, 8 MiB, recycled by glibc's heap.
+  for (int i = 0; i < 2; ++i) {
+    const Matrix c(1024, 1024);
+  }
+  // One double short of the threshold.
+  for (int i = 0; i < 2; ++i) {
+    const AlignedVector v(kKeptBlockBytes / sizeof(double) - 1);
+  }
+  EXPECT_EQ(kept_block_reuses() - reuses, 0u);
+  EXPECT_EQ(large_block_allocations() - allocations, 0u);
+  // ... and neither evicted the kept block.
+  const Matrix c(kSkinnyN1, kSkinnyN1);
+  EXPECT_EQ(kept_block_reuses() - reuses, 1u);
+}
+
+/// 2048×64 on a session of `procs` ranks, planner default or pinned 1D.
+struct SkinnyCase {
+  const char* name;
+  int procs;
+  bool pinned_1d;
+  core::Algorithm algorithm;  // the plan the request must resolve to
+  bool folded;
+};
+
+void PrintTo(const SkinnyCase& t, std::ostream* os) { *os << t.name; }
+
+core::SyrkRequest skinny_request(const SkinnyCase& t, const Matrix& a,
+                                 const core::Session& session) {
+  core::SyrkRequest req(a);
+  if (t.pinned_1d) req.use_1d();
+  const core::Plan plan = core::resolve_plan(session, req);
+  EXPECT_EQ(plan.algorithm, t.algorithm);
+  EXPECT_EQ(plan.folded(), t.folded);
+  return req;
+}
+
+const SkinnyCase kOneRank{"OneRankOneD", 1, false, core::Algorithm::kOneD,
+                          false};
+const SkinnyCase kFoldedTwoD{"FoldedTwoDOnFour", 4, false,
+                             core::Algorithm::kTwoD, true};
+const SkinnyCase kPinnedOneD{"PinnedOneDOnFour", 4, true,
+                             core::Algorithm::kOneD, false};
+
+auto skinny_name(const ::testing::TestParamInfo<SkinnyCase>& info) {
+  return std::string(info.param.name);
+}
+
+class KeptBlockDirty : public ::testing::TestWithParam<SkinnyCase> {};
+
+TEST_P(KeptBlockDirty, EveryEntryOverwritten) {
+  const SkinnyCase& t = GetParam();
+  const Matrix a = random_matrix(kSkinnyN1, kSkinnyN2, 604);
+  core::Session session(t.procs);
+  const core::SyrkRequest req = skinny_request(t, a, session);
+  drop_nan_result();
+  const std::uint64_t reuses = kept_block_reuses();
+  const core::SyrkRun run = core::syrk(session, req);
+  ASSERT_EQ(kept_block_reuses() - reuses, 1u) << "C did not get the NaN block";
+  expect_syrk_of(run.c, a);
+}
+
+INSTANTIATE_TEST_SUITE_P(Skinny, KeptBlockDirty,
+                         ::testing::Values(kOneRank, kFoldedTwoD,
+                                           kPinnedOneD),
+                         skinny_name);
+
+/// Minor page faults of the whole process so far.
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+struct FaultCase {
+  SkinnyCase shape;
+  long limit;  // a fresh C alone faults 8,193 pages
+};
+
+void PrintTo(const FaultCase& t, std::ostream* os) { *os << t.shape.name; }
+
+class KeptBlockFaults : public ::testing::TestWithParam<FaultCase> {};
+
+TEST_P(KeptBlockFaults, WarmRequestDoesNotFaultItsResult) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory is mapped on first touch, and "
+                  "ru_minflt counts those faults too";
+#endif
+  const FaultCase& t = GetParam();
+  const Matrix a = random_matrix(kSkinnyN1, kSkinnyN2, 605);
+  core::Session session(t.shape.procs);
+  const core::SyrkRequest req = skinny_request(t.shape, a, session);
+  { const core::SyrkRun warm = core::syrk(session, req); }
+  const long before = minor_faults();
+  const core::SyrkRun run = core::syrk(session, req);
+  EXPECT_LT(minor_faults() - before, t.limit);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Skinny, KeptBlockFaults,
+    ::testing::Values(FaultCase{kOneRank, 256}, FaultCase{kFoldedTwoD, 4096}),
+    [](const ::testing::TestParamInfo<FaultCase>& info) {
+      return std::string(info.param.shape.name);
+    });
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(KeptBlock, DroppedResultStaysPoisonedUntilReused) {
+  const Matrix a = random_matrix(kSkinnyN1, kSkinnyN2, 606);
+  core::Session session(1);
+  const double* data = nullptr;
+  {
+    const core::SyrkRun run = core::syrk(session, core::SyrkRequest(a));
+    data = run.c.data();
+    EXPECT_FALSE(__asan_address_is_poisoned(data));
+  }
+  // Kept, not freed: a stale read of the dropped result still reports.
+  EXPECT_TRUE(__asan_address_is_poisoned(data));
+  EXPECT_TRUE(__asan_address_is_poisoned(data + kSkinnyN1 * kSkinnyN1 - 1));
+  const core::SyrkRun next = core::syrk(session, core::SyrkRequest(a));
+  ASSERT_EQ(next.c.data(), data);
+  EXPECT_FALSE(__asan_address_is_poisoned(data));
+}
+#endif
 
 }  // namespace
 }  // namespace parsyrk
