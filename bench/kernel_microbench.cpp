@@ -18,39 +18,71 @@ namespace {
 
 using namespace parsyrk;
 
+// The packed kernels behind a plain signature, so one template times
+// every tier: accumulating into a C zero-filled each iteration (β = 1, the
+// default), or writing C without reading it (β = 0, no fill).
+void gemm_nt_beta1(const ConstMatrixView& a, const ConstMatrixView& b,
+                    const MatrixView& c) {
+  gemm_nt(a, b, c);
+}
+void gemm_nt_beta0(const ConstMatrixView& a, const ConstMatrixView& b,
+                   const MatrixView& c) {
+  gemm_nt(a, b, c, Beta::kZero);
+}
+void syrk_lower_beta1(const ConstMatrixView& a, const MatrixView& c) {
+  syrk_lower(a, c);
+}
+void syrk_lower_beta0(const ConstMatrixView& a, const MatrixView& c) {
+  syrk_lower(a, c, Beta::kZero);
+}
+void syr2k_lower_beta1(const ConstMatrixView& a,
+                              const ConstMatrixView& b, const MatrixView& c) {
+  syr2k_lower(a, b, c);
+}
+void symm_lower_left_beta1(const ConstMatrixView& s,
+                            const ConstMatrixView& b, const MatrixView& c) {
+  symm_lower_left(s, b, c);
+}
+
 // --- GEMM-NT tiers: C (n×n) += A·Bᵀ, k = n. MACs = n³. ---
 
 template <void (*Kernel)(const ConstMatrixView&, const ConstMatrixView&,
-                         const MatrixView&)>
+                         const MatrixView&),
+          bool kFill = true>
 void BM_GemmNtTier(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Matrix a = random_matrix(n, n, 1);
   Matrix b = random_matrix(n, n, 2);
   Matrix c(n, n);
   for (auto _ : state) {
-    c.fill(0.0);
+    if (kFill) c.fill(0.0);
     Kernel(a.view(), b.view(), c.view());
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_GemmNtTier<gemm_nt_naive>)
     ->Name("BM_GemmNtNaive")->Arg(64)->Arg(128)->Arg(256);
-BENCHMARK(BM_GemmNtTier<gemm_nt>)
+BENCHMARK(BM_GemmNtTier<gemm_nt_beta1>)
     ->Name("BM_GemmNtPacked")->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_GemmNtTier<gemm_nt_beta0, false>)
+    ->Name("BM_GemmNtPackedBeta0")->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 // --- SYRK tiers: C (n×n lower) += A·Aᵀ, k = n/4. MACs = n²k/2. ---
 
-template <void (*Kernel)(const ConstMatrixView&, const MatrixView&)>
+template <void (*Kernel)(const ConstMatrixView&, const MatrixView&),
+          bool kFill = true>
 void BM_SyrkTier(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Matrix a = random_matrix(n, n / 4, 3);
   Matrix c(n, n);
   kern::reset_pack_bytes();
   for (auto _ : state) {
-    c.fill(0.0);
+    if (kFill) c.fill(0.0);
     Kernel(a.view(), c.view());
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n * n * (n / 4) / 2);
   state.counters["pack_bytes_per_iter"] = benchmark::Counter(
@@ -59,8 +91,10 @@ void BM_SyrkTier(benchmark::State& state) {
 }
 BENCHMARK(BM_SyrkTier<syrk_lower_naive>)
     ->Name("BM_SyrkLowerNaive")->Arg(128)->Arg(256);
-BENCHMARK(BM_SyrkTier<syrk_lower>)
+BENCHMARK(BM_SyrkTier<syrk_lower_beta1>)
     ->Name("BM_SyrkLowerPacked")->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_SyrkTier<syrk_lower_beta0, false>)
+    ->Name("BM_SyrkLowerPackedBeta0")->Arg(128)->Arg(256)->Arg(512);
 
 // --- SYR2K tiers: C (n×n lower) += A·Bᵀ + B·Aᵀ, k = n/4. MACs = n²k. ---
 
@@ -80,7 +114,7 @@ void BM_Syr2kTier(benchmark::State& state) {
 }
 BENCHMARK(BM_Syr2kTier<syr2k_lower_naive>)
     ->Name("BM_Syr2kLowerNaive")->Arg(128)->Arg(256);
-BENCHMARK(BM_Syr2kTier<syr2k_lower>)
+BENCHMARK(BM_Syr2kTier<syr2k_lower_beta1>)
     ->Name("BM_Syr2kLowerPacked")->Arg(128)->Arg(256)->Arg(512);
 
 // --- SYMM tiers: C (n×m) += S·B, S n×n symmetric, m = n. MACs = n²m. ---
@@ -101,7 +135,7 @@ void BM_SymmTier(benchmark::State& state) {
 }
 BENCHMARK(BM_SymmTier<symm_lower_left_naive>)
     ->Name("BM_SymmLowerLeftNaive")->Arg(128)->Arg(256);
-BENCHMARK(BM_SymmTier<symm_lower_left>)
+BENCHMARK(BM_SymmTier<symm_lower_left_beta1>)
     ->Name("BM_SymmLowerLeftPacked")->Arg(128)->Arg(256)->Arg(512);
 
 void BM_SparseSyrk(benchmark::State& state) {

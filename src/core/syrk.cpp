@@ -45,34 +45,30 @@ Matrix scatter_column_blocks(comm::Comm& comm, const ConstMatrixView& a,
 /// Alg. 2's owners with nothing to reduce (p2 = 1): every owned block is
 /// computed straight into its place in `c` and mirrored into the upper
 /// triangle. `c` arrives uninitialised (fresh pages, or a reused block
-/// holding a dropped matrix's entries) and the kernels accumulate, so each
-/// owner zero-fills its block just before its kernel: page faults and
-/// zeroing run in parallel on the owning ranks.
+/// holding a dropped matrix's entries); the first product into each block
+/// is Beta::kZero, which never reads it, so page faults and the single
+/// write of each entry run in parallel on the owning ranks.
 void compute_in_place(const OwnedLayout& layout, const RowSource& rows,
                       const MatrixView& c) {
   const std::size_t nb = layout.nb;
   for (const auto& [bi, bj] : layout.pairs) {
     const MatrixView cij = c.block(bi * nb, bj * nb, nb, nb);
-    cij.fill(0.0);
     const Operands ri = rows(bi);
     const Operands rj = rows(bj);
-    gemm_nt(ri.a, rj.b, cij);
+    gemm_nt(ri.a, rj.b, cij, Beta::kZero);
     if (ri.count == 2) gemm_nt(ri.b, rj.a, cij);
     transpose_into(cij, c.block(bj * nb, bi * nb, nb, nb));
   }
   if (layout.diag) {
     const MatrixView cii = c.block(*layout.diag * nb, *layout.diag * nb, nb,
                                    nb);
-    // The lower-only kernels never touch the strict upper triangle and the
-    // mirror overwrites it, so only the lower triangle needs zeros.
-    for (std::size_t i = 0; i < nb; ++i) {
-      std::fill_n(cii.data() + i * cii.ld(), i + 1, 0.0);
-    }
+    // The lower-only kernels write the lower triangle; the mirror writes
+    // the strict upper one.
     const Operands rd = rows(*layout.diag);
     if (rd.count == 1) {
-      syrk_lower(rd.a, cii);
+      syrk_lower(rd.a, cii, Beta::kZero);
     } else {
-      syr2k_lower(rd.a, rd.b, cii);
+      syr2k_lower(rd.a, rd.b, cii, Beta::kZero);
     }
     symmetrize_from_lower(cii);
   }

@@ -115,9 +115,10 @@ struct OwnedLayout {
 /// Row block i of the operands: gathered, or (p1 = 1) the own column block.
 using RowSource = std::function<Operands(std::uint64_t)>;
 
-/// Alg. 2 lines 15–20 for items [i0, i1), accumulated into their zeroed
-/// slots of `out`: gemm_nt per pair (A_i·A_jᵀ, or A_i·B_jᵀ + B_i·A_jᵀ) and
-/// the packed SYRK (SYR2K) of the diagonal block. Returns the flops.
+/// Alg. 2 lines 15–20 for items [i0, i1), written into their slots of
+/// `out` with Beta::kZero (the slots' old contents are never read): gemm_nt
+/// per pair (A_i·A_jᵀ, or A_i·B_jᵀ + B_i·A_jᵀ) and the packed SYRK (SYR2K)
+/// of the diagonal block. Returns the flops.
 std::uint64_t compute_owned(const OwnedLayout& layout, const RowSource& rows,
                             std::size_t i0, std::size_t i1,
                             std::span<double> out);
@@ -134,7 +135,8 @@ using ComputeItems = std::function<std::uint64_t(
     std::size_t i0, std::size_t i1, std::span<double> send)>;
 
 /// Alg. 3 line 5 (Alg. 1 line 4 when p1 = 1), in phase reduce_C: computes
-/// the owned blocks into one zero-filled buffer, reduce-scatters it evenly
+/// the owned blocks into one send buffer — uninitialised, from the rank's
+/// KernelArena send slot below kKeptBlockBytes — reduce-scatters it evenly
 /// over `row` and assembles this rank's range into `c`. Pairwise runs as
 /// max(pipeline_chunks, 1) segments — entrywise over a whole triangle,
 /// else whole-block groups, each computed while the previous one is in

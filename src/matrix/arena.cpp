@@ -12,6 +12,7 @@ double* KernelArena::buffer(int slot, std::size_t count) {
   PARSYRK_CHECK(slot >= 0 && slot < kSlots);
   AlignedVector& buf = slots_[slot];
   if (buf.size() < count) {
+    buf = AlignedVector();  // release the old block before taking the new
     buf.resize(count);
     grows_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -1,12 +1,14 @@
 // Reusable, 64-byte-aligned kernel scratch space.
 //
 // The packed kernel engine needs two pack buffers (left and right operand
-// panels) per call. Allocating them inside the kernels would put a malloc on
-// the hot path of every Local-SYRK a worker runs; instead each long-lived
-// pool worker (simmpi::WorkerPool) owns a KernelArena that grows to the
-// high-water mark of the jobs it has run and is then reused allocation-free.
-// Threads that are not pool workers (tests, benchmarks, the main thread)
-// fall back to a thread_local arena with the same behavior.
+// panels) per call, and a rank that reduces its owned blocks needs one send
+// buffer per request for the kernels to write. Allocating them per call
+// would put a malloc (and, for large buffers, fresh pages) on the hot path
+// of every Local-SYRK a worker runs; instead each long-lived pool worker
+// (simmpi::WorkerPool) owns a KernelArena that grows to the high-water mark
+// of the jobs it has run and is then reused allocation-free. Threads that
+// are not pool workers (tests, benchmarks, the main thread) fall back to a
+// thread_local arena with the same behavior.
 #pragma once
 
 #include <atomic>
@@ -19,9 +21,11 @@ namespace parsyrk::kern {
 
 class KernelArena {
  public:
-  static constexpr int kSlots = 2;
+  static constexpr int kSlots = 3;
   static constexpr int kSlotPackA = 0;
   static constexpr int kSlotPackB = 1;
+  /// The send buffer core::internal::reduce_scatter_owned computes into.
+  static constexpr int kSlotSend = 2;
 
   KernelArena() = default;
   KernelArena(const KernelArena&) = delete;
@@ -29,7 +33,8 @@ class KernelArena {
 
   /// A 64-byte-aligned buffer of at least `count` doubles. The buffer is
   /// owned by the arena and reused across calls: a second request for the
-  /// same slot invalidates the first. Contents are uninitialized.
+  /// same slot invalidates the first. Contents are uninitialized, and a
+  /// slot grows by replacing its block, never by copying it.
   double* buffer(int slot, std::size_t count);
 
   /// Number of times any slot had to (re)allocate — flat across warm

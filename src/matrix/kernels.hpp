@@ -1,8 +1,10 @@
 // Local (single-rank) dense kernels.
 //
 // Each SPMD rank of the parallel algorithms calls these on its local blocks:
-//   * gemm_nt:    C += A · Bᵀ          (paper Alg. 2, line 16 "Local-GEMM")
-//   * syrk_lower: C += A · Aᵀ (lower)  (paper Algs. 1–2, "Local-SYRK")
+//   * gemm_nt:    C := β·C + A · Bᵀ          (Alg. 2, line 16 "Local-GEMM")
+//   * syrk_lower: C := β·C + A · Aᵀ (lower)  (Algs. 1–2, "Local-SYRK")
+// with β ∈ {0, 1} (Beta). β = 1 is the default and accumulates; β = 0
+// writes the product without reading C, as BLAS does.
 //
 // Two tiers per kernel:
 //   * the unsuffixed kernels run the packed micro-kernel engine (pack.hpp +
@@ -22,36 +24,47 @@
 
 namespace parsyrk {
 
-/// C (m×n) += A (m×k) · Bᵀ where B is n×k. Packed micro-kernel engine.
+/// What an engine kernel does with the entries of C it writes.
+enum class Beta {
+  kZero,  ///< C := product. C is never read, so it may hold anything; with
+          ///< k = 0 the kernel writes zeros. A −0.0 sum reads +0.0.
+  kOne,   ///< C += product.
+};
+
+/// C (m×n) := β·C + A (m×k) · Bᵀ where B is n×k. Packed micro-kernel
+/// engine.
 void gemm_nt(const ConstMatrixView& a, const ConstMatrixView& b,
-             const MatrixView& c);
+             const MatrixView& c, Beta beta = Beta::kOne);
 
 /// Reference implementation of gemm_nt (triple loop, no tiling).
 void gemm_nt_naive(const ConstMatrixView& a, const ConstMatrixView& b,
                    const MatrixView& c);
 
-/// C (m×m, lower triangle incl. diagonal) += A (m×k) · Aᵀ.
-/// Entries strictly above the diagonal of C are not touched. The engine
-/// packs the A panel once per k block and uses it as both operands.
-void syrk_lower(const ConstMatrixView& a, const MatrixView& c);
+/// C (m×m, lower triangle incl. diagonal) := β·C + A (m×k) · Aᵀ.
+/// Entries strictly above the diagonal of C are neither read nor written.
+/// The engine packs the A panel once per k block and uses it as both
+/// operands.
+void syrk_lower(const ConstMatrixView& a, const MatrixView& c,
+                Beta beta = Beta::kOne);
 
 /// syrk_lower into row-packed lower storage (PackedLower's layout: entry
 /// (i, j), j <= i, at i(i+1)/2 + j); `c` holds a.rows()(a.rows()+1)/2
-/// doubles. Same tiles and summation order as syrk_lower, so adding into a
-/// zeroed buffer gives bitwise the lower triangle of a zeroed dense C.
-void syrk_lower_packed(const ConstMatrixView& a, std::span<double> c);
+/// doubles. Same tiles and summation order as syrk_lower, so the result is
+/// bitwise the lower triangle of the dense kernel's.
+void syrk_lower_packed(const ConstMatrixView& a, std::span<double> c,
+                       Beta beta = Beta::kOne);
 
 /// Reference implementation of syrk_lower.
 void syrk_lower_naive(const ConstMatrixView& a, const MatrixView& c);
 
-/// C (m×m, lower triangle incl. diagonal) += A·Bᵀ + B·Aᵀ for A, B both m×k
-/// (the SYR2K local kernel — §6's first extension target).
+/// C (m×m, lower triangle incl. diagonal) := β·C + A·Bᵀ + B·Aᵀ for A, B
+/// both m×k (the SYR2K local kernel — §6's first extension target).
 void syr2k_lower(const ConstMatrixView& a, const ConstMatrixView& b,
-                 const MatrixView& c);
+                 const MatrixView& c, Beta beta = Beta::kOne);
 
 /// syr2k_lower into row-packed lower storage, as syrk_lower_packed.
 void syr2k_lower_packed(const ConstMatrixView& a, const ConstMatrixView& b,
-                        std::span<double> c);
+                        std::span<double> c, Beta beta = Beta::kOne);
 
 /// Reference implementation of syr2k_lower.
 void syr2k_lower_naive(const ConstMatrixView& a, const ConstMatrixView& b,
@@ -60,13 +73,13 @@ void syr2k_lower_naive(const ConstMatrixView& a, const ConstMatrixView& b,
 /// Full serial SYR2K oracle: symmetric A·Bᵀ + B·Aᵀ.
 Matrix syr2k_reference(const ConstMatrixView& a, const ConstMatrixView& b);
 
-/// C (m×n) += S·B where S is m×m symmetric given by its lower triangle
-/// (entries above the diagonal of `s_lower` are ignored) and B is m×n
-/// (the SYMM local kernel — §6's second extension target). The engine packs
-/// S rows with diagonal reflection, so the product never materializes the
-/// full square S.
+/// C (m×n) := β·C + S·B where S is m×m symmetric given by its lower
+/// triangle (entries above the diagonal of `s_lower` are ignored) and B is
+/// m×n (the SYMM local kernel — §6's second extension target). The engine
+/// packs S rows with diagonal reflection, so the product never
+/// materializes the full square S.
 void symm_lower_left(const ConstMatrixView& s_lower, const ConstMatrixView& b,
-                     const MatrixView& c);
+                     const MatrixView& c, Beta beta = Beta::kOne);
 
 /// Reference implementation of symm_lower_left (branchy triple loop).
 void symm_lower_left_naive(const ConstMatrixView& s_lower,

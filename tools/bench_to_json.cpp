@@ -5,7 +5,9 @@
 //       runs the full suite and writes the JSON snapshot (stdout if no
 //       --out). Rates are reported as GMAC/s (multiply-adds, the unit the
 //       microbenchmarks also use; GF/s = 2x) together with the bytes the
-//       engine packed per call.
+//       engine packed per call. Rows with impl "packed" accumulate into a C
+//       zero-filled inside the timed call; "packed_beta0" rows (syrk_lower
+//       and gemm_nt) run Beta::kZero and time no fill.
 //
 //   bench_to_json --smoke [--factor F]
 //       cheap perf gate for ctest: asserts the packed syrk_lower beats the
@@ -34,7 +36,7 @@ using Clock = std::chrono::steady_clock;
 
 struct Row {
   std::string kernel;  // syrk_lower, gemm_nt, ...
-  std::string impl;    // naive | packed
+  std::string impl;    // naive | packed | packed_beta0
   std::size_t n = 0;
   std::size_t k = 0;
   double gmacs_per_sec = 0.0;
@@ -89,7 +91,11 @@ std::vector<Row> run_suite(double min_time) {
                               [&] { c.fill(0.0); fn(a.view(), c.view()); }));
     };
     if (n <= 256) syrk_case("naive", syrk_lower_naive);
-    syrk_case("packed", syrk_lower);
+    syrk_case("packed", [](auto av, auto cv) { syrk_lower(av, cv); });
+    rows.push_back(run_case("syrk_lower", "packed_beta0", n, k, syrk_macs,
+                            min_time, [&] {
+                              syrk_lower(a.view(), c.view(), Beta::kZero);
+                            }));
 
     const double syr2k_macs = double(n) * double(n) * double(k);
     auto syr2k_case = [&](const char* impl, auto fn) {
@@ -98,7 +104,8 @@ std::vector<Row> run_suite(double min_time) {
                    [&] { c.fill(0.0); fn(a.view(), b.view(), c.view()); }));
     };
     if (n <= 256) syr2k_case("naive", syr2k_lower_naive);
-    syr2k_case("packed", syr2k_lower);
+    syr2k_case("packed",
+               [](auto av, auto bv, auto cv) { syr2k_lower(av, bv, cv); });
   }
   for (std::size_t n : sizes) {
     Matrix a = random_matrix(n, n, 1);
@@ -111,7 +118,12 @@ std::vector<Row> run_suite(double min_time) {
                    [&] { c.fill(0.0); fn(a.view(), b.view(), c.view()); }));
     };
     if (n <= 256) gemm_case("naive", gemm_nt_naive);
-    gemm_case("packed", gemm_nt);
+    gemm_case("packed", [](auto av, auto bv, auto cv) { gemm_nt(av, bv, cv); });
+    rows.push_back(run_case("gemm_nt", "packed_beta0", n, n, macs, min_time,
+                            [&] {
+                              gemm_nt(a.view(), b.view(), c.view(),
+                                      Beta::kZero);
+                            }));
 
     auto symm_case = [&](const char* impl, auto fn) {
       rows.push_back(
@@ -119,7 +131,9 @@ std::vector<Row> run_suite(double min_time) {
                    [&] { c.fill(0.0); fn(a.view(), b.view(), c.view()); }));
     };
     if (n <= 256) symm_case("naive", symm_lower_left_naive);
-    symm_case("packed", symm_lower_left);
+    symm_case("packed", [](auto sv, auto bv, auto cv) {
+      symm_lower_left(sv, bv, cv);
+    });
   }
   return rows;
 }
