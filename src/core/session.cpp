@@ -23,6 +23,68 @@ PlanSearchOptions search_options(const Session& session,
   return opts;
 }
 
+/// The processor cap a planner-path request searches under.
+std::uint64_t planner_cap(const Session& session, const SyrkRequest& req) {
+  return req.max_procs.value_or(static_cast<std::uint64_t>(session.size()));
+}
+
+/// The planner branch of resolve_plan and resolve_plan_report: the
+/// session's resolver (the service layer's plan cache) when one is
+/// installed, so repeated shapes skip the enumerator, else a fresh search.
+/// Returns pick(report), with the report shared by the resolver or a
+/// temporary, so neither caller copies more of it than it keeps.
+template <class Pick>
+auto search(const Session& session, const SyrkRequest& req, Pick pick) {
+  const std::uint64_t n1 = req.a->rows();
+  const std::uint64_t n2 = req.a->cols();
+  const std::uint64_t cap = planner_cap(session, req);
+  const PlanSearchOptions opts = search_options(session, req);
+  if (const PlanResolver& resolver = session.plan_resolver()) {
+    const auto report = resolver(n1, n2, cap, opts);
+    PARSYRK_REQUIRE(report != nullptr, "plan resolver returned no report");
+    return pick(*report);
+  }
+  return pick(enumerate_syrk_plans(n1, n2, cap, opts));
+}
+
+/// The plan of a request no search runs for: an explicit algorithm/grid,
+/// or the cheapest plan that fits the memory limit.
+Plan pinned_plan(const Session& session, const SyrkRequest& req) {
+  const std::uint64_t n1 = req.a->rows();
+  const std::uint64_t n2 = req.a->cols();
+  if (!req.algorithm) {
+    auto aware = plan_syrk_memory_aware(n1, n2, planner_cap(session, req),
+                                        *req.memory_limit_words);
+    PARSYRK_REQUIRE(aware.has_value(), "no SYRK plan for n1=", n1, ", n2=",
+                    n2, " fits in ", *req.memory_limit_words,
+                    " words of per-rank memory");
+    return aware->plan;
+  }
+  Plan plan;
+  plan.algorithm = *req.algorithm;
+  if (plan.algorithm == Algorithm::kOneD) {
+    plan.procs =
+        req.procs_1d.value_or(static_cast<std::uint64_t>(session.size()));
+    PARSYRK_REQUIRE(plan.procs >= 1, "1D SYRK needs at least 1 rank");
+    plan.p2 = plan.procs;
+  } else {
+    const dist::TriangleBlockDistribution d(req.c);  // validates c prime
+    if (plan.algorithm == Algorithm::kThreeD) {
+      PARSYRK_REQUIRE(req.p2 >= 1, "p2 must be >= 1");
+      plan.p2 = req.p2;
+    }
+    plan.c = req.c;
+    plan.p1 = d.num_procs();
+    plan.procs = plan.p1 * plan.p2;
+  }
+  // Theorem 1 is stated for n1 >= 2; a 1-row C is communication-trivial
+  // and keeps the Plan's default regime.
+  if (n1 >= 2) {
+    plan.regime = bounds::syrk_lower_bound(n1, n2, plan.procs).regime;
+  }
+  return plan;
+}
+
 }  // namespace
 
 comm::World& Session::world_for(const Plan& plan) {
@@ -41,141 +103,88 @@ comm::World& Session::world_for(const Plan& plan) {
 
 Plan resolve_plan(const Session& session, const SyrkRequest& req) {
   PARSYRK_REQUIRE(req.a != nullptr, "request has no input matrix");
-  const std::uint64_t n1 = req.a->rows();
-  const std::uint64_t n2 = req.a->cols();
-  const auto session_procs = static_cast<std::uint64_t>(session.size());
-
-  Plan plan;
-  if (req.algorithm) {
-    switch (*req.algorithm) {
-      case Algorithm::kOneD:
-        plan.algorithm = Algorithm::kOneD;
-        plan.procs = req.procs_1d.value_or(session_procs);
-        PARSYRK_REQUIRE(plan.procs >= 1, "1D SYRK needs at least 1 rank");
-        plan.c = 0;
-        plan.p1 = 1;
-        plan.p2 = plan.procs;
-        break;
-      case Algorithm::kTwoD: {
-        dist::TriangleBlockDistribution d(req.c);  // validates c prime
-        plan.algorithm = Algorithm::kTwoD;
-        plan.c = req.c;
-        plan.p1 = d.num_procs();
-        plan.p2 = 1;
-        plan.procs = plan.p1;
-        break;
-      }
-      case Algorithm::kThreeD: {
-        dist::TriangleBlockDistribution d(req.c);
-        PARSYRK_REQUIRE(req.p2 >= 1, "p2 must be >= 1");
-        plan.algorithm = Algorithm::kThreeD;
-        plan.c = req.c;
-        plan.p1 = d.num_procs();
-        plan.p2 = req.p2;
-        plan.procs = plan.p1 * plan.p2;
-        break;
-      }
-    }
-    // Theorem 1 is stated for n1 >= 2; a 1-row C is communication-trivial
-    // and keeps the Plan's default regime.
-    if (n1 >= 2) {
-      plan.regime = bounds::syrk_lower_bound(n1, n2, plan.procs).regime;
-    }
-  } else if (req.memory_limit_words) {
-    auto aware = plan_syrk_memory_aware(n1, n2,
-                                        req.max_procs.value_or(session_procs),
-                                        *req.memory_limit_words);
-    PARSYRK_REQUIRE(aware.has_value(), "no SYRK plan for n1=", n1, ", n2=",
-                    n2, " fits in ", *req.memory_limit_words,
-                    " words of per-rank memory");
-    plan = aware->plan;
-  } else {
-    // Planner path: consult the session's resolver (the service layer's
-    // plan cache) when installed, so repeated shapes skip the enumerator.
-    const std::uint64_t cap = req.max_procs.value_or(session_procs);
-    const PlanSearchOptions opts = search_options(session, req);
-    if (const PlanResolver& resolver = session.plan_resolver()) {
-      auto report = resolver(n1, n2, cap, opts);
-      PARSYRK_REQUIRE(report != nullptr, "plan resolver returned no report");
-      plan = report->plan();
-    } else {
-      plan = enumerate_syrk_plans(n1, n2, cap, opts).plan();
-    }
-  }
-  return plan;
+  if (req.algorithm || req.memory_limit_words) return pinned_plan(session, req);
+  return search(session, req,
+                [](const PlanReport& report) { return report.plan(); });
 }
 
 PlanReport resolve_plan_report(const Session& session, const SyrkRequest& req) {
   PARSYRK_REQUIRE(req.a != nullptr, "request has no input matrix");
-  const std::uint64_t n1 = req.a->rows();
-  const std::uint64_t n2 = req.a->cols();
-  const std::uint64_t cap =
-      req.max_procs.value_or(static_cast<std::uint64_t>(session.size()));
   if (!req.algorithm && !req.memory_limit_words) {
-    const PlanSearchOptions opts = search_options(session, req);
-    if (const PlanResolver& resolver = session.plan_resolver()) {
-      auto report = resolver(n1, n2, cap, opts);
-      PARSYRK_REQUIRE(report != nullptr, "plan resolver returned no report");
-      return *report;
-    }
-    return enumerate_syrk_plans(n1, n2, cap, opts);
+    return search(session, req, [](auto&& report) -> PlanReport {
+      return std::forward<decltype(report)>(report);
+    });
   }
   // No search ran: wrap the externally determined plan as a one-row report
   // so --explain-plan output exists uniformly.
-  return report_for_plan(n1, n2, cap, resolve_plan(session, req),
+  return report_for_plan(req.a->rows(), req.a->cols(),
+                         planner_cap(session, req), pinned_plan(session, req),
                          req.algorithm ? "explicitly requested"
                                        : "memory-aware choice");
 }
 
 SyrkRun syrk(Session& session, const SyrkRequest& req) {
-  const Matrix& a = *req.a;
-  Plan plan = resolve_plan(session, req);
+  return internal::run_resolved(session, req,
+                                internal::resolve_request(session, req));
+}
+
+namespace internal {
+
+ResolvedRequest resolve_request(const Session& session,
+                                const SyrkRequest& req) {
+  ResolvedRequest out{resolve_plan(session, req), req.options};
+  Plan& plan = out.plan;
+  SyrkOptions& opts = out.options;
   PARSYRK_REQUIRE(plan.procs <= static_cast<std::uint64_t>(session.size()),
                   "request needs ", plan.procs, " ranks; session has ",
                   session.size());
-  internal::check_options(plan, a.rows(), a.cols(), req.options);
-  if (req.options.pipeline_chunks >= 1) {
+  check_options(plan, req.a->rows(), req.a->cols(), opts);
+  if (opts.pipeline_chunks >= 1) {
     // Pipelined segments ride pairwise handles; a hierarchical plan pick
-    // reverts to the (tier-split) pairwise schedule so run.plan reflects
-    // what actually executed.
+    // reverts to the (tier-split) pairwise schedule so the plan reflects
+    // what actually executes.
     plan.strategy = CollectiveStrategy::kPairwise;
   }
   // The planner's hierarchical pick executes through the hierarchical
   // collective kinds; explicit with_reduce/with_exchange choices win.
-  SyrkOptions exec_opts = req.options;
   if (plan.strategy == CollectiveStrategy::kHierarchical) {
-    if (exec_opts.reduce == ReduceKind::kPairwise) {
-      exec_opts.reduce = ReduceKind::kHierarchical;
+    if (opts.reduce == ReduceKind::kPairwise) {
+      opts.reduce = ReduceKind::kHierarchical;
     }
-    if (exec_opts.exchange == ExchangeKind::kPairwise) {
-      exec_opts.exchange = ExchangeKind::kHierarchical;
+    if (opts.exchange == ExchangeKind::kPairwise) {
+      opts.exchange = ExchangeKind::kHierarchical;
     }
-  } else if (req.options.ranks_per_node > 1 &&
-             (exec_opts.reduce == ReduceKind::kHierarchical ||
-              exec_opts.exchange == ExchangeKind::kHierarchical)) {
+  } else if (opts.ranks_per_node > 1 &&
+             (opts.reduce == ReduceKind::kHierarchical ||
+              opts.exchange == ExchangeKind::kHierarchical)) {
     // Explicit with_reduce/with_exchange hierarchical request: record it on
     // the plan so run.plan (and the auditor's model) match the execution.
     plan.strategy = CollectiveStrategy::kHierarchical;
   }
+  return out;
+}
 
+SyrkRun run_resolved(Session& session, const SyrkRequest& req,
+                     const ResolvedRequest& resolved) {
+  const Plan& plan = resolved.plan;
   // Folded plans execute on a dedicated cached world of logical_ranks()
   // ranks folded onto plan.procs physical ranks; everything else runs on
   // the session's own world. The request's topology is stamped on the world
   // it runs on (ranks_per_node=1 restores the flat machine, so a later
   // untopology'd request on the same session world is unaffected).
   comm::World& world = session.world_for(plan);
-  world.set_topology(req.options.ranks_per_node);
+  world.set_topology(resolved.options.ranks_per_node);
   if (req.trace) world.enable_tracing();
   if (req.verify) world.enable_verify();
   const comm::CostLedger::Snapshot before = world.ledger().snapshot();
-  internal::ExecBuffers exec(a, plan);
+  ExecBuffers exec(*req.a, plan);
   const int active_ranks = static_cast<int>(plan.logical_ranks());
   if (active_ranks == world.size()) {
     // Full-size plan (and every folded plan — the folded world is sized to
     // the logical grid exactly): run directly on the world communicator (no
     // per-job split on the hot path).
     world.run([&](comm::Comm& wc) {
-      internal::run_syrk_plan_rank(wc, exec.a(), plan, exec_opts, exec.c());
+      run_syrk_plan_rank(wc, exec.a(), plan, resolved.options, exec.c());
     });
   } else {
     world.run([&](comm::Comm& wc) {
@@ -185,18 +194,29 @@ SyrkRun syrk(Session& session, const SyrkRequest& req) {
       // plan.procs ranks); idle ranks then sit the job out.
       comm::Comm sub = wc.split(active ? 0 : 1, wc.rank());
       if (!active) return;
-      internal::run_syrk_plan_rank(sub, exec.a(), plan, exec_opts, exec.c());
+      run_syrk_plan_rank(sub, exec.a(), plan, resolved.options, exec.c());
     });
   }
+  return collect_run(world, req, plan, exec, before, 0, world.size(),
+                     world.jobs_run());
+}
 
+SyrkRun collect_run(comm::World& world, const SyrkRequest& req,
+                    const Plan& plan, ExecBuffers& exec,
+                    const comm::CostLedger::Snapshot& before, int rank_begin,
+                    int rank_end, std::uint64_t job_id) {
+  const Matrix& a = *req.a;
+  const comm::CostLedger& ledger = world.ledger();
   SyrkRun run;
   run.plan = plan;
   run.c = exec.take_result();
-  const comm::CostLedger& ledger = world.ledger();
-  run.total = ledger.summary_since(before);
-  run.gather_a = ledger.summary_since(before, internal::kPhaseGatherA);
-  run.reduce_c = ledger.summary_since(before, internal::kPhaseReduceC);
-  run.scatter_a = ledger.summary_since(before, internal::kPhaseScatterA);
+  run.total = ledger.summary_since(before, rank_begin, rank_end);
+  run.gather_a =
+      ledger.summary_since(before, kPhaseGatherA, rank_begin, rank_end);
+  run.reduce_c =
+      ledger.summary_since(before, kPhaseReduceC, rank_begin, rank_end);
+  run.scatter_a =
+      ledger.summary_since(before, kPhaseScatterA, rank_begin, rank_end);
   if (world.ranks_per_node() > 1) {
     // Nodes the *plan* spans, not the whole session world — the request may
     // run on an active-ranks prefix of a larger world. Idle ranks record
@@ -208,8 +228,17 @@ SyrkRun syrk(Session& session, const SyrkRequest& req) {
   if (a.rows() >= 2) {
     run.bound = bounds::syrk_lower_bound(a.rows(), a.cols(), plan.procs);
   }
-  if (req.trace) run.trace = world.trace_sink()->drain(/*poisoned=*/false);
+  if (req.trace) {
+    // The range's world-shaped trace holds exactly this job's events;
+    // rebasing them gives the trace of the same job run solo.
+    run.trace = comm::extract_rank_range(
+        world.trace_sink()->drain_ranks(/*poisoned=*/false, rank_begin,
+                                        rank_end, job_id),
+        rank_begin, rank_end);
+  }
   return run;
 }
+
+}  // namespace internal
 
 }  // namespace parsyrk::core

@@ -248,4 +248,44 @@ PlanReport resolve_plan_report(const Session& session, const SyrkRequest& req);
 /// non-1D algorithm, or when no plan fits the memory limit.
 SyrkRun syrk(Session& session, const SyrkRequest& req);
 
+namespace internal {
+
+/// A request's plan and options as they will execute.
+struct ResolvedRequest {
+  Plan plan;
+  SyrkOptions options;
+};
+
+/// The one resolve step, behind core::syrk and the service's admission:
+/// resolve_plan, the session-size check and check_options, then the
+/// strategy fix-ups — a pipelined request rides pairwise handles, so the
+/// plan's strategy reverts to pairwise; a hierarchical plan pick runs the
+/// hierarchical collective kinds wherever with_reduce/with_exchange left
+/// them pairwise; and an explicit hierarchical kind on a topology is
+/// recorded on the plan, so the plan (and every price taken from it)
+/// matches the execution. Throws InvalidArgument as core::syrk documents.
+ResolvedRequest resolve_request(const Session& session,
+                                const SyrkRequest& req);
+
+/// Runs an already resolved request as one job on the session's warm world
+/// (the folded world world_for picks, stamped with the request's topology)
+/// and collects its SyrkRun: core::syrk after its resolve step, and the
+/// service's solo path after admission.
+SyrkRun run_resolved(Session& session, const SyrkRequest& req,
+                     const ResolvedRequest& resolved);
+
+/// The one collect step: the SyrkRun of a finished job that ran `plan` for
+/// `req` on world ranks [rank_begin, rank_end) since `before`. It holds the
+/// result moved out of `exec`; the ledger summaries (total and per phase)
+/// over the range; the Theorem 1 bound at plan.procs; on a topology'd
+/// world, the plan's node count and the inter-node summary; and, for a
+/// traced request, job `job_id`'s trace drained over the range and rebased
+/// to rank_begin. The range's ranks must be idle.
+SyrkRun collect_run(comm::World& world, const SyrkRequest& req,
+                    const Plan& plan, ExecBuffers& exec,
+                    const comm::CostLedger::Snapshot& before, int rank_begin,
+                    int rank_end, std::uint64_t job_id);
+
+}  // namespace internal
+
 }  // namespace parsyrk::core

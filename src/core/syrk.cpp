@@ -217,25 +217,6 @@ Matrix ExecBuffers::take_result() {
   return c;
 }
 
-Matrix run_syrk_plan(comm::World& world, const Matrix& a, const Plan& plan,
-                     const SyrkOptions& opts) {
-  PARSYRK_REQUIRE(
-      static_cast<std::uint64_t>(world.size()) == plan.logical_ranks(),
-      algorithm_name(plan.algorithm), " plan needs ", plan.logical_ranks(),
-      " ranks; world has ", world.size());
-  PARSYRK_REQUIRE(
-      !plan.folded() ||
-          static_cast<std::uint64_t>(world.physical_size()) == plan.procs,
-      "folded plan needs ", plan.procs, " physical ranks; world has ",
-      world.physical_size());
-  check_options(plan, a.rows(), a.cols(), opts);
-  ExecBuffers exec(a, plan);
-  world.run([&](comm::Comm& comm) {
-    run_syrk_plan_rank(comm, exec.a(), plan, opts, exec.c());
-  });
-  return exec.take_result();
-}
-
 }  // namespace internal
 
 const char* algorithm_name(Algorithm a) {

@@ -23,8 +23,9 @@
 //
 // The pre-1.x per-algorithm entry points (syrk_1d/2d/3d/_from_root,
 // syrk_auto) are gone; docs/MIGRATION.md maps each one to its
-// Session/SyrkRequest spelling. Callers that drive raw Worlds directly can
-// still execute an explicit Plan via internal::run_syrk_plan.
+// Session/SyrkRequest spelling. Callers that drive raw Worlds directly
+// execute an explicit Plan as World::run over internal::run_syrk_plan_rank,
+// with internal::ExecBuffers holding the execution-size operands.
 #pragma once
 
 #include <cstdint>
@@ -174,8 +175,9 @@ void run_syrk_plan_rank(comm::Comm& comm, const Operands& ops,
                         Matrix& c_full);
 
 /// Rejects option combinations `plan` cannot run on an n1×n2 A, each with
-/// a message that names both conflicting options. The one check behind
-/// core::syrk, run_syrk_plan and the service's admission.
+/// a message that names both conflicting options. The one check behind the
+/// resolve step (internal::resolve_request) of core::syrk and the
+/// service's admission.
 void check_options(const Plan& plan, std::uint64_t n1, std::uint64_t n2,
                    const SyrkOptions& opts);
 
@@ -188,9 +190,10 @@ Matrix pad_rows(const Matrix& a, std::uint64_t rows);
 /// rows to plan.exec_n1 when the plan pads (otherwise the caller's A,
 /// uncopied — it must outlive the buffers), and the exec_n1² result the
 /// ranks assemble into. The result is allocated WITHOUT a zero-fill: the
-/// ranks write each of its entries (1D/3D owners assemble their reduced
-/// ranges, 2D owners zero-fill and compute their own blocks in place), so
-/// the pages are first touched in parallel by the ranks that own them.
+/// ranks write each of its entries once (1D/3D owners assemble their
+/// reduced ranges, 2D owners compute their own blocks in place with
+/// Beta::kZero, which never reads C), so the pages are first touched in
+/// parallel by the ranks that own them.
 class ExecBuffers {
  public:
   ExecBuffers() = default;
@@ -210,13 +213,6 @@ class ExecBuffers {
   Matrix a_pad_;
   Matrix c_;
 };
-
-/// Executes `plan` as one job on a world of exactly plan.logical_ranks()
-/// ranks (folded onto plan.procs physical ranks when the plan folds),
-/// applying the plan's zero-row padding and truncating the result back to
-/// n1×n1. The single execution path behind every public entry point.
-Matrix run_syrk_plan(comm::World& world, const Matrix& a, const Plan& plan,
-                     const SyrkOptions& opts);
 
 }  // namespace internal
 

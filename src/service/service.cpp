@@ -28,9 +28,10 @@ struct TicketState {
   std::chrono::steady_clock::time_point dispatched_at;
 
   // Admission-time resolution (scheduler thread only). Sticky: a ticket is
-  // priced once, even if it waits several dispatch steps for its turn.
+  // resolved and priced once, even if it waits several dispatch steps for
+  // its turn, and it runs the plan it was priced at.
   bool admitted = false;
-  core::Plan plan;
+  core::internal::ResolvedRequest resolved;
   double modeled_seconds = 0.0;
 };
 
@@ -175,38 +176,28 @@ trace::ServiceTimeline SyrkService::timeline() const {
 
 bool SyrkService::admit(detail::TicketState& st) {
   // Resolution goes through the session's resolver, i.e. the plan cache —
-  // this is the one resolve every request pays at admission. (Solo jobs
-  // re-resolve inside core::syrk; on the planner path that second lookup is
-  // a cache hit.)
+  // this is the one resolve every request pays: the solo and streamed paths
+  // both run the admitted plan. Admission is the service's last validation
+  // point before the executor, so malformed or conflicting options fail
+  // the ticket here, loudly, instead of surfacing as a mid-flight executor
+  // REQUIRE.
   try {
-    st.plan = core::resolve_plan(*session_, st.request);
-    PARSYRK_REQUIRE(
-        st.plan.procs <= static_cast<std::uint64_t>(session_->size()),
-        "request needs ", st.plan.procs, " ranks; service has ",
-        session_->size());
-    // Admission is the service's last validation point before the
-    // executor, so malformed or conflicting options fail the ticket here,
-    // loudly, instead of surfacing as a mid-flight executor REQUIRE.
-    core::internal::check_options(st.plan, st.request.a->rows(),
-                                  st.request.a->cols(), st.request.options);
-    const int rpn = st.request.options.ranks_per_node;
-    if (st.request.options.pipeline_chunks >= 1) {
-      // Pipelined execution rides pairwise handles; mirror core::syrk's
-      // strategy reset so the priced plan matches the executed one.
-      st.plan.strategy = core::CollectiveStrategy::kPairwise;
-      // Pipelined jobs are priced at their overlapped makespan, so the
-      // admission budget sees the time they actually occupy their ranks.
-      // The ×S latency term inside uses the *effective* segment count
-      // (chunks clamped to the plan's available segments).
-      st.modeled_seconds = core::plan_modeled_seconds_pipelined(
-          st.request.a->rows(), st.request.a->cols(), st.plan,
-          st.request.options.pipeline_chunks, options_.plan_options.machine,
-          rpn);
-    } else {
-      st.modeled_seconds = core::plan_modeled_seconds(
-          st.request.a->rows(), st.request.a->cols(), st.plan,
-          options_.plan_options.machine, rpn);
-    }
+    st.resolved = core::internal::resolve_request(*session_, st.request);
+    const core::Plan& plan = st.resolved.plan;
+    const std::uint64_t n1 = st.request.a->rows();
+    const std::uint64_t n2 = st.request.a->cols();
+    const int chunks = st.resolved.options.pipeline_chunks;
+    const int rpn = st.resolved.options.ranks_per_node;
+    // Pipelined jobs are priced at their overlapped makespan, so the
+    // admission budget sees the time they actually occupy their ranks. The
+    // ×S latency term inside uses the *effective* segment count (chunks
+    // clamped to the plan's available segments).
+    st.modeled_seconds =
+        chunks >= 1
+            ? core::plan_modeled_seconds_pipelined(
+                  n1, n2, plan, chunks, options_.plan_options.machine, rpn)
+            : core::plan_modeled_seconds(n1, n2, plan,
+                                         options_.plan_options.machine, rpn);
     st.admitted = true;
     return true;
   } catch (...) {
@@ -320,11 +311,12 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
           fail(st, std::move(st->error));
           continue;
         }
+        const core::internal::ResolvedRequest& resolved = st->resolved;
         JobSpec spec;
-        spec.ranks = st->plan.logical_ranks();
+        spec.ranks = resolved.plan.logical_ranks();
         spec.modeled_seconds = st->modeled_seconds;
         spec.solo =
-            st->plan.folded() || st->request.options.ranks_per_node > 1;
+            resolved.plan.folded() || resolved.options.ranks_per_node > 1;
         candidates.push_back(std::move(st));
         specs.push_back(spec);
         ++i;
@@ -420,8 +412,9 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
             auto job = std::make_unique<StreamJob>();
             job->st = st;
             job->base = p.base_rank;
-            job->procs = static_cast<int>(st->plan.logical_ranks());
-            job->exec = core::internal::ExecBuffers(*st->request.a, st->plan);
+            job->procs = static_cast<int>(st->resolved.plan.logical_ranks());
+            job->exec =
+                core::internal::ExecBuffers(*st->request.a, st->resolved.plan);
             job->before = world.ledger().snapshot();
 
             ++stats_.rounds;
@@ -445,9 +438,9 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
             job->handle = world.launch_ranks(
                 job->base, job->base + job->procs,
                 [raw](comm::Comm& c) {
-                  core::internal::run_syrk_plan_rank(
-                      c, raw->exec.a(), raw->st->plan,
-                      raw->st->request.options, raw->exec.c());
+                  const core::internal::ResolvedRequest& r = raw->st->resolved;
+                  core::internal::run_syrk_plan_rank(c, raw->exec.a(), r.plan,
+                                                     r.options, raw->exec.c());
                 },
                 [this, raw] {
                   // Notify while holding the lock: this callback runs on a
@@ -485,34 +478,13 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
 }
 
 void SyrkService::finalize_stream_job(StreamJob& job) {
-  comm::World& world = session_->world();
-  const comm::CostLedger& ledger = world.ledger();
-  detail::TicketState& st = *job.st;
-  const Matrix& a = *st.request.a;
-  const int lo = job.base;
-  const int hi = job.base + job.procs;
-  core::SyrkRun run;
-  run.plan = st.plan;
-  run.c = job.exec.take_result();
-  run.total = ledger.summary_since(job.before, lo, hi);
-  run.gather_a =
-      ledger.summary_since(job.before, core::internal::kPhaseGatherA, lo, hi);
-  run.reduce_c =
-      ledger.summary_since(job.before, core::internal::kPhaseReduceC, lo, hi);
-  run.scatter_a =
-      ledger.summary_since(job.before, core::internal::kPhaseScatterA, lo, hi);
-  if (a.rows() >= 2) {
-    run.bound = bounds::syrk_lower_bound(a.rows(), a.cols(), run.plan.procs);
-  }
-  if (st.request.trace) {
-    // Range drain + extraction == the solo trace pipeline: the world-shaped
-    // range trace holds exactly this job's events, and extract rebases them
-    // to the same canonical form a solo drain produces.
-    const comm::JobTrace range = world.trace_sink()->drain_ranks(
-        /*poisoned=*/false, lo, hi, job.handle.job_id());
-    run.trace = comm::extract_rank_range(range, lo, hi);
-  }
-  finish(job.st, std::move(run), job.batched, job.base);
+  finish(job.st,
+         core::internal::collect_run(session_->world(), job.st->request,
+                                     job.st->resolved.plan, job.exec,
+                                     job.before, job.base,
+                                     job.base + job.procs,
+                                     job.handle.job_id()),
+         job.batched, job.base);
 }
 
 void SyrkService::run_solo(const std::shared_ptr<detail::TicketState>& st,
@@ -522,8 +494,9 @@ void SyrkService::run_solo(const std::shared_ptr<detail::TicketState>& st,
     ++stats_.retried_jobs;
   }
   try {
-    core::SyrkRun run = core::syrk(*session_, st->request);
-    finish(st, std::move(run), /*batched=*/false, /*base_rank=*/0);
+    finish(st,
+           core::internal::run_resolved(*session_, st->request, st->resolved),
+           /*batched=*/false, /*base_rank=*/0);
   } catch (...) {
     {
       std::lock_guard lock(mu_);
@@ -567,7 +540,8 @@ void SyrkService::finish(const std::shared_ptr<detail::TicketState>& st,
     trace::TimelineInterval iv;
     iv.job_id = res.completion_seq;
     iv.rank_begin = base_rank;
-    iv.rank_end = base_rank + static_cast<int>(st->plan.logical_ranks());
+    iv.rank_end =
+        base_rank + static_cast<int>(st->resolved.plan.logical_ranks());
     iv.start_seconds = seconds_between(epoch_, st->dispatched_at);
     iv.end_seconds = seconds_between(epoch_, now);
     iv.solo = !batched;

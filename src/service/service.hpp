@@ -25,10 +25,12 @@
 // run solo on an equally sized session. test_scheduler_stream pins this
 // down.
 //
-// Blocking use is submit+wait — SyrkService::syrk(req) is exactly that, and
-// core::syrk(session, req) remains the single underlying execution path
-// (solo jobs call it directly; streamed jobs share its rank-level
-// internals).
+// Blocking use is submit+wait — SyrkService::syrk(req) is exactly that. The
+// service runs core::syrk's steps: admission is its resolve step
+// (core::internal::resolve_request, the one plan resolution per ticket);
+// solo jobs run the admitted plan through core::internal::run_resolved, and
+// streamed jobs run the same per-rank body on their range and end in the
+// same collect step (core::internal::collect_run).
 #pragma once
 
 #include <chrono>
@@ -196,15 +198,16 @@ class SyrkService {
   /// The scheduler thread's body: dispatches FIFO jobs onto freed rank
   /// subsets via World::launch_ranks, reaping completions as they land.
   void streaming_loop(std::unique_lock<std::mutex>& lock);
-  /// Finalizes one cleanly-completed streamed job: rank-range ledger
-  /// summaries, range trace drain + extraction, result truncation, finish().
-  /// Runs on the scheduler thread without holding mu_.
+  /// Finalizes one cleanly-completed streamed job: core::internal::
+  /// collect_run over the job's rank range, then finish(). Runs on the
+  /// scheduler thread without holding mu_.
   void finalize_stream_job(StreamJob& job);
-  /// Resolves the ticket's plan/modeled cost against the current session.
+  /// Resolves the ticket's plan and options (core::internal::
+  /// resolve_request) and prices them against the current session.
   /// Returns false (ticket failed) when the request is invalid.
   bool admit(detail::TicketState& st);
-  /// Runs one job alone through core::syrk: folded and topology'd jobs,
-  /// and casualties of a poisoned stream (retry = true).
+  /// Runs one admitted job alone (core::internal::run_resolved): folded and
+  /// topology'd jobs, and casualties of a poisoned stream (retry = true).
   void run_solo(const std::shared_ptr<detail::TicketState>& st, bool retry);
   void finish(const std::shared_ptr<detail::TicketState>& st,
               core::SyrkRun run, bool batched, int base_rank);

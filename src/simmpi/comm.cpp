@@ -212,79 +212,16 @@ void World::enable_tracing(std::size_t capacity_per_rank) {
 
 void World::disable_tracing() { trace_sink_.reset(); }
 
-void World::begin_job() {
-  ledger_.begin_ranks(0, size());
-  if (trace_sink_) trace_sink_->begin_job(jobs_run_ + 1);
-  if (verifier_) verifier_->begin_scope(0, size(), jobs_run_ + 1);
-  std::fill(world_group_->handle_gen.begin(), world_group_->handle_gen.end(),
-            0u);
-  std::lock_guard lock(groups_mu_);
-  for (auto& [sig, g] : group_registry_) {
-    std::fill(g->handle_gen.begin(), g->handle_gen.end(), 0u);
-  }
-}
-
 void World::run(const std::function<void(Comm&)>& body) {
-  const int p = size();
-  begin_job();
-  const std::uint64_t job_id = ++jobs_run_;
-  CostLedger::Snapshot verify_snap;
-  if (verifier_) verify_snap = ledger_.snapshot();
-  std::vector<std::exception_ptr> errors(p);
-  // One byte per rank (vector<bool> would pack bits into shared words and
-  // race across threads).
-  std::vector<unsigned char> aborted(p, 0);
-  // Hand the rank bodies to the leased, already-parked workers. This is the
-  // hot path of the executor: no thread is created or joined here, only a
-  // condition-variable handoff per rank and one completion latch.
-  for (int r = 0; r < p; ++r) {
-    lease_.dispatch(r, [this, &body, &errors, &aborted, r, job_id] {
-      Comm comm(this, world_group_, r, world_group_->handle_gen[r]++);
-      if (verifier_) verifier_->on_rank_begin(r, job_id);
-      bool clean = true;
-      try {
-        body(comm);
-      } catch (const RankAborted&) {
-        aborted[r] = 1;  // secondary victim; the root cause is elsewhere
-        clean = false;
-      } catch (...) {
-        errors[r] = std::current_exception();
-        poison_all();
-        clean = false;
-      }
-      if (verifier_) verifier_->on_rank_end(r, clean);
-    });
-  }
-  lease_.wait();
-  for (int r = 0; r < p; ++r) {
-    if (errors[r]) {
-      reset_after_failure();
-      std::rethrow_exception(errors[r]);
-    }
-  }
-  // End-of-job verification: the scope's deferred findings (request leaks,
-  // sequence-length divergence), undrained mailbox messages, and ledger
-  // balance. Runs before the abort checks below so a protocol leak is a
-  // recoverable diagnosis (the world is reset), not a process abort.
-  if (verifier_) {
-    verify::VerifyReport report = verifier_->end_scope(0, p);
-    for (int r = 0; r < p; ++r) {
-      for (const auto& [env, words] : mailboxes_[r]->pending()) {
-        report.findings.push_back(
-            verifier_->message_leak(r, env.comm_id, env.src, env.tag, words));
-      }
-    }
-    append_ledger_balance(ledger_, verify_snap, 0, p,
-                          /*check_inter=*/ranks_per_node_ > 1, job_id, report);
-    if (!report.empty()) {
-      reset_after_failure();
-      throw verify::VerifyError(std::move(report));
-    }
-  }
-  // A clean SPMD body consumes every message it causes to be sent.
-  for (int r = 0; r < p; ++r) {
-    PARSYRK_CHECK_MSG(mailboxes_[r]->empty(),
-                      "rank ", r, " finished with undrained messages");
+  // `body` outlives the job (this call waits for every rank), so the job
+  // refers to it instead of copying it.
+  RangeJob job = launch_ranks(0, size(), std::cref(body));
+  lease_.wait();  // every rank's task has returned, not only its body
+  job.wait();
+  if (job.failed() || job.aborted()) {
+    recover_after_failure();
+    if (job.failed()) std::rethrow_exception(job.error());
+    throw RankAborted();
   }
 }
 
@@ -299,15 +236,17 @@ void RangeJob::wait() {
     std::unique_lock lock(st.mu);
     st.cv.wait(lock, [&] { return st.pending == 0; });
   }
-  // A clean streamed job consumes every message it causes to be sent —
-  // the per-range analogue of World::run's post-job check. Skipped on
+  // A clean job consumes every message it causes to be sent. Skipped on
   // failure: poisoned mailboxes legitimately hold undelivered messages
   // until recover_after_failure().
   if (!st.error && !st.any_aborted) {
-    // End-of-job verification for the range. wait() is documented never to
-    // throw the job's error, and the service's scheduler thread calls it
-    // mid-stream — so findings are recorded as the job's error() (and the
-    // range's mailboxes drained to keep the world usable), not thrown.
+    // End-of-job verification for the range: the scope's deferred findings
+    // (request leaks, sequence-length divergence), undrained messages, and
+    // ledger balance (per tier when the world has a topology, which only
+    // whole-world jobs run on). wait() is documented never to throw the
+    // job's error, and the service's scheduler thread calls it mid-stream —
+    // so findings are recorded as the job's error() (and the range's
+    // mailboxes drained to keep the world usable), not thrown.
     if (verify::Verifier* v = st.world->verifier()) {
       verify::VerifyReport report = v->end_scope(st.rank_begin, st.rank_end);
       for (int r = st.rank_begin; r < st.rank_end; ++r) {
@@ -317,8 +256,9 @@ void RangeJob::wait() {
         }
       }
       append_ledger_balance(st.world->ledger_, st.verify_snap, st.rank_begin,
-                            st.rank_end, /*check_inter=*/false, st.job_id,
-                            report);
+                            st.rank_end,
+                            /*check_inter=*/st.world->ranks_per_node() > 1,
+                            st.job_id, report);
       if (!report.empty()) {
         for (int r = st.rank_begin; r < st.rank_end; ++r) {
           st.world->mailboxes_[r]->reset();
@@ -342,25 +282,26 @@ void RangeJob::wait() {
 RangeJob World::launch_ranks(int rank_begin, int rank_end,
                                     std::function<void(Comm&)> body,
                                     std::function<void()> on_complete) {
-  PARSYRK_REQUIRE(!folded(),
-                  "launch_ranks requires an unfolded world (folded "
-                  "accounting spans all ranks)");
-  PARSYRK_REQUIRE(ranks_per_node_ == 1,
-                  "launch_ranks requires the flat topology (a node-aware "
-                  "range would split nodes across jobs)");
   PARSYRK_REQUIRE(rank_begin >= 0 && rank_begin < rank_end &&
                       rank_end <= size(),
                   "launch_ranks range [", rank_begin, ", ", rank_end,
                   ") invalid for a world of ", size(), " ranks");
+  const bool whole_world = rank_begin == 0 && rank_end == size();
+  PARSYRK_REQUIRE(whole_world || !folded(),
+                  "launch_ranks on a partial range requires an unfolded "
+                  "world (folded accounting spans all ranks)");
+  PARSYRK_REQUIRE(whole_world || ranks_per_node_ == 1,
+                  "launch_ranks on a partial range requires the flat "
+                  "topology (a node-aware range would split nodes across "
+                  "jobs)");
   const std::uint64_t job_id = ++jobs_run_;
   ledger_.begin_ranks(rank_begin, rank_end);
-  if (trace_sink_) trace_sink_->begin_ranks(rank_begin, rank_end);
+  if (trace_sink_) trace_sink_->begin_ranks(rank_begin, rank_end, job_id);
 
   // One job epoch for this range: reset the handle generations of every
   // group whose members all lie inside it (their ranks are idle by the
   // caller's placement discipline), so the job draws collective tags
   // exactly as the same job would on a fresh world of the range's size.
-  const bool whole_world = rank_begin == 0 && rank_end == size();
   {
     std::lock_guard lock(groups_mu_);
     if (whole_world) {
@@ -420,7 +361,7 @@ RangeJob World::launch_ranks(int rank_begin, int rank_end,
       {
         std::lock_guard lock(st->mu);
         if (rank_aborted) st->any_aborted = true;
-        // Lowest failing rank wins, mirroring World::run's rethrow order.
+        // Lowest failing rank wins; World::run rethrows it.
         if (err && (st->error_rank < 0 || gr < st->error_rank)) {
           st->error = err;
           st->error_rank = gr;
@@ -448,7 +389,7 @@ void World::poison_all() {
   for (auto& [sig, g] : group_registry_) poison_group(*g);
 }
 
-void World::reset_after_failure() {
+void World::recover_after_failure() {
   // The failed job's verification bookkeeping (wait-for graph, collective
   // records, deferred findings) is meaningless once the mailboxes drop
   // their messages; start the next job from a clean slate.
@@ -640,6 +581,29 @@ struct OpState {
     if (sends_posted) return;
     sends_posted = true;
     for (Send& s : rounds[current].sends) post_send(s);
+  }
+
+  /// Appends the p − 1 rounds of a pairwise exchange (§3.2): in round r
+  /// this rank sends payload(dst) to dst = rank + r and receives from
+  /// src = rank − r (mod p), both under tag tag0 + r, and the round's
+  /// completion step runs complete(src, received payload).
+  template <class Payload, class Complete>
+  void add_pairwise_rounds(std::int64_t tag0, Payload payload,
+                           Complete complete) {
+    const int p = static_cast<int>(group->world_ranks.size());
+    rounds.reserve(rounds.size() + p - 1);
+    for (int r = 1; r < p; ++r) {
+      const int dst = (rank + r) % p;
+      const int src = (rank - r + p) % p;
+      Round round;
+      round.sends.push_back(
+          {.dst = dst, .tag = tag0 + r, .payload = payload(dst), .build = {}});
+      round.recvs.push_back({src, tag0 + r});
+      round.on_complete = [complete, src](Round& rd) {
+        complete(src, rd.recvs[0].payload);
+      };
+      rounds.push_back(std::move(round));
+    }
   }
 
   void finish_round(Round& r) {
@@ -834,25 +798,16 @@ Request Comm::ireduce_scatter(std::span<const double> data,
   st->flat.assign(data.begin() + offset[rank_],
                   data.begin() + offset[rank_ + 1]);
   detail::OpState* raw = st.get();
-  st->rounds.reserve(p - 1);
-  for (int r = 1; r < p; ++r) {
-    const int dst = (rank_ + r) % p;
-    const int src = (rank_ - r + p) % p;
-    detail::OpState::Round round;
-    detail::OpState::Send s;
-    s.dst = dst;
-    s.tag = tag0 + r;
-    s.payload.assign(data.begin() + offset[dst],
-                     data.begin() + offset[dst] + sizes[dst]);
-    round.sends.push_back(std::move(s));
-    round.recvs.push_back({src, tag0 + r});
-    round.on_complete = [raw](detail::OpState::Round& rd) {
-      const auto& in = rd.recvs[0].payload;
-      PARSYRK_CHECK(in.size() == raw->flat.size());
-      for (std::size_t i = 0; i < in.size(); ++i) raw->flat[i] += in[i];
-    };
-    st->rounds.push_back(std::move(round));
-  }
+  st->add_pairwise_rounds(
+      tag0,
+      [&](int dst) {
+        return std::vector<double>(data.begin() + offset[dst],
+                                   data.begin() + offset[dst + 1]);
+      },
+      [raw](int, const std::vector<double>& in) {
+        PARSYRK_CHECK(in.size() == raw->flat.size());
+        for (std::size_t i = 0; i < in.size(); ++i) raw->flat[i] += in[i];
+      });
   return Request(std::move(st));
 }
 
@@ -867,24 +822,12 @@ Request Comm::iall_gather(std::span<const double> mine) {
   st->flat.assign(n * p, 0.0);
   std::copy(mine.begin(), mine.end(), st->flat.begin() + rank_ * n);
   detail::OpState* raw = st.get();
-  st->rounds.reserve(p - 1);
-  for (int r = 1; r < p; ++r) {
-    const int dst = (rank_ + r) % p;
-    const int src = (rank_ - r + p) % p;
-    detail::OpState::Round round;
-    detail::OpState::Send s;
-    s.dst = dst;
-    s.tag = tag0 + r;
-    s.payload.assign(mine.begin(), mine.end());
-    round.sends.push_back(std::move(s));
-    round.recvs.push_back({src, tag0 + r});
-    round.on_complete = [raw, src, n](detail::OpState::Round& rd) {
-      const auto& in = rd.recvs[0].payload;
-      PARSYRK_CHECK(in.size() == n);
-      std::copy(in.begin(), in.end(), raw->flat.begin() + src * n);
-    };
-    st->rounds.push_back(std::move(round));
-  }
+  st->add_pairwise_rounds(
+      tag0, [&](int) { return std::vector<double>(mine.begin(), mine.end()); },
+      [raw, n](int src, const std::vector<double>& in) {
+        PARSYRK_CHECK(in.size() == n);
+        std::copy(in.begin(), in.end(), raw->flat.begin() + src * n);
+      });
   return Request(std::move(st));
 }
 
@@ -902,22 +845,11 @@ Request Comm::iall_to_all_v(const std::vector<std::vector<double>>& send) {
   st->parts.resize(p);
   st->parts[rank_] = send[rank_];  // own block stays local; no cost
   detail::OpState* raw = st.get();
-  st->rounds.reserve(p - 1);
-  for (int r = 1; r < p; ++r) {
-    const int dst = (rank_ + r) % p;
-    const int src = (rank_ - r + p) % p;
-    detail::OpState::Round round;
-    detail::OpState::Send s;
-    s.dst = dst;
-    s.tag = tag0 + r;
-    s.payload = send[dst];
-    round.sends.push_back(std::move(s));
-    round.recvs.push_back({src, tag0 + r});
-    round.on_complete = [raw, src](detail::OpState::Round& rd) {
-      raw->parts[src] = std::move(rd.recvs[0].payload);
-    };
-    st->rounds.push_back(std::move(round));
-  }
+  st->add_pairwise_rounds(
+      tag0, [&](int dst) { return send[dst]; },
+      [raw](int src, std::vector<double>& in) {
+        raw->parts[src] = std::move(in);
+      });
   return Request(std::move(st));
 }
 
@@ -964,22 +896,11 @@ std::vector<std::vector<double>> Comm::all_gather_v(
   st->parts.resize(p);
   st->parts[rank_].assign(mine.begin(), mine.end());
   detail::OpState* raw = st.get();
-  st->rounds.reserve(p - 1);
-  for (int r = 1; r < p; ++r) {
-    const int dst = (rank_ + r) % p;
-    const int src = (rank_ - r + p) % p;
-    detail::OpState::Round round;
-    detail::OpState::Send s;
-    s.dst = dst;
-    s.tag = tag0 + r;
-    s.payload.assign(mine.begin(), mine.end());
-    round.sends.push_back(std::move(s));
-    round.recvs.push_back({src, tag0 + r});
-    round.on_complete = [raw, src](detail::OpState::Round& rd) {
-      raw->parts[src] = std::move(rd.recvs[0].payload);
-    };
-    st->rounds.push_back(std::move(round));
-  }
+  st->add_pairwise_rounds(
+      tag0, [&](int) { return std::vector<double>(mine.begin(), mine.end()); },
+      [raw](int src, std::vector<double>& in) {
+        raw->parts[src] = std::move(in);
+      });
   return Request(std::move(st)).take_parts();
 }
 

@@ -114,9 +114,10 @@ struct Group {
 
 namespace detail {
 
-/// Shared state of one streamed rank-range job (World::launch_ranks): the
-/// per-rank completion count plus the failure verdict, written by the pool
-/// workers and read by the scheduler thread through RangeJob.
+/// Shared state of one rank-range job (World::launch_ranks, which
+/// World::run also goes through): the per-rank completion count plus the
+/// failure verdict, written by the pool workers and read by the launching
+/// thread through RangeJob.
 struct RangeJobState {
   World* world = nullptr;
   int rank_begin = 0;
@@ -130,7 +131,7 @@ struct RangeJobState {
   std::condition_variable cv;
   int pending = 0;
   std::exception_ptr error;  // lowest failing rank's exception
-  int error_rank = -1;       // group-relative rank, mirrors run()'s rethrow
+  int error_rank = -1;       // group-relative rank of `error`
   bool any_aborted = false;  // a rank unwound with RankAborted
 };
 
@@ -156,10 +157,10 @@ class RangeJob {
   bool done() const;
 
   /// Blocks until every rank has returned, then (on a clean completion)
-  /// checks the job's mailboxes drained — the per-range analogue of
-  /// World::run's post-job check. Under verify mode the range's end-of-job
-  /// analyses run here too; findings are recorded as the job's error()
-  /// (a verify::VerifyError), not thrown. Never throws the job's error;
+  /// checks the job's mailboxes drained — the one end-of-job check, which
+  /// World::run runs too. Under verify mode the range's end-of-job analyses
+  /// run here as well; findings are recorded as the job's error() (a
+  /// verify::VerifyError), not thrown. Never throws the job's error;
   /// inspect failed()/aborted()/error() after.
   void wait();
 
@@ -512,13 +513,15 @@ class World {
   /// The verifier while enabled (nullptr otherwise).
   verify::Verifier* verifier() const { return verifier_.get(); }
 
-  /// Executes `body` as one job: the SPMD bodies are handed to the size()
-  /// already-parked pool workers (condition-variable handoff — no thread is
-  /// created or joined here) and run one per rank. If a rank throws, the
-  /// runtime is poisoned so ranks blocked in receives or barriers unwind
-  /// with RankAborted; after every rank finishes, the original exception is
-  /// rethrown (lowest failing rank wins) and the runtime is reset so the
-  /// World — and its leased workers — stay usable for the next job.
+  /// Executes `body` as one job: launch_ranks(0, size(), body), then a wait
+  /// until every rank's task has returned. The SPMD bodies are handed to the
+  /// size() already-parked pool workers (condition-variable handoff — no
+  /// thread is created or joined here) and run one per rank. If a rank
+  /// throws, the runtime is poisoned so ranks blocked in receives or
+  /// barriers unwind with RankAborted; after every rank finishes, the
+  /// runtime is reset so the World — and its leased workers — stay usable
+  /// for the next job, and the original exception is rethrown (lowest
+  /// failing rank wins).
   void run(const std::function<void(Comm&)>& body);
 
   // ---- Streamed execution (work-conserving scheduling substrate) ----
@@ -544,8 +547,9 @@ class World {
   // same job run solo on a fresh world of the range's size — the property
   // that keeps streamed results bitwise-identical.
 
-  /// Launches `body` on ranks [rank_begin, rank_end) of an unfolded, flat
-  /// world and returns immediately. Each rank's Comm spans the range
+  /// Launches `body` on ranks [rank_begin, rank_end) and returns
+  /// immediately. A partial range needs an unfolded, flat world; the whole
+  /// world may be folded or topology'd. Each rank's Comm spans the range
   /// (size == rank_end - rank_begin, rank 0 == world rank rank_begin).
   /// `on_complete`, if given, fires exactly once on the last finishing
   /// rank's worker thread — it must be cheap and must not launch jobs or
@@ -554,10 +558,10 @@ class World {
                         std::function<void(Comm&)> body,
                         std::function<void()> on_complete = {});
 
-  /// Clears poison and undelivered messages after a streamed job failed,
-  /// restoring the world for further launches. Call only once every
-  /// in-flight RangeJob has completed.
-  void recover_after_failure() { reset_after_failure(); }
+  /// Clears poison and undelivered messages after a job failed, restoring
+  /// the world for further launches (World::run calls it itself). Call
+  /// only once every in-flight RangeJob has completed.
+  void recover_after_failure();
 
  private:
   friend class Comm;
@@ -572,15 +576,8 @@ class World {
   std::shared_ptr<detail::Group> intern_group(const std::string& signature,
                                               const std::vector<int>& members);
 
-  /// Starts a job epoch: resets every group's per-rank handle generations
-  /// and every rank's ledger phase, so collective tag allocation and phase
-  /// attribution restart exactly as on a fresh world.
-  void begin_job();
-
   /// Failure propagation: wakes every blocked receive and barrier.
   void poison_all();
-  /// Clears poison state and drops undelivered messages.
-  void reset_after_failure();
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   int physical_ = 1;  // physical ranks the accounting folds onto

@@ -110,14 +110,11 @@ TraceSink::TraceSink(const CostLedger& ledger, int num_ranks,
   }
 }
 
-void TraceSink::begin_job(std::uint64_t job_id) {
-  job_id_ = job_id;
-  begin_ranks(0, ranks());
-}
-
-void TraceSink::begin_ranks(int rank_begin, int rank_end) {
+void TraceSink::begin_ranks(int rank_begin, int rank_end,
+                            std::uint64_t job_id) {
   PARSYRK_CHECK(rank_begin >= 0 && rank_begin <= rank_end &&
                 rank_end <= ranks());
+  job_id_ = job_id;
   std::vector<TraceEvent> discard;
   for (int r = rank_begin; r < rank_end; ++r) {
     PerRank& pr = *per_rank_[r];
@@ -147,27 +144,6 @@ void TraceSink::record_overlap(const OverlapInterval& interval) {
   per_rank_[interval.rank]->overlaps.push_back(interval);
 }
 
-JobTrace TraceSink::drain(bool poisoned) {
-  JobTrace t;
-  t.job_id = job_id_;
-  t.ranks = static_cast<std::uint32_t>(per_rank_.size());
-  t.physical_ranks = physical_ranks_;
-  t.ranks_per_node = ranks_per_node_;
-  t.poisoned = poisoned;
-  for (auto& pr : per_rank_) {
-    pr->ring.drain(t.events);  // per-ring ordinal order, ranks appended in order
-    t.dropped += pr->ring.dropped();
-    pr->ring.reset_dropped();
-    // Overlap windows are appended in (rank, post_ordinal) order — each rank
-    // records its own in posting order.
-    t.overlaps.insert(t.overlaps.end(), pr->overlaps.begin(),
-                      pr->overlaps.end());
-    pr->overlaps.clear();
-  }
-  canonicalize_phases(t);
-  return t;
-}
-
 JobTrace TraceSink::drain_ranks(bool poisoned, int rank_begin, int rank_end,
                                 std::uint64_t job_id) {
   PARSYRK_CHECK(rank_begin >= 0 && rank_begin <= rank_end &&
@@ -180,9 +156,11 @@ JobTrace TraceSink::drain_ranks(bool poisoned, int rank_begin, int rank_end,
   t.poisoned = poisoned;
   for (int r = rank_begin; r < rank_end; ++r) {
     PerRank& pr = *per_rank_[r];
-    pr.ring.drain(t.events);
+    pr.ring.drain(t.events);  // per-ring ordinal order, ranks appended in order
     t.dropped += pr.ring.dropped();
     pr.ring.reset_dropped();
+    // Overlap windows are appended in (rank, post_ordinal) order — each rank
+    // records its own in posting order.
     t.overlaps.insert(t.overlaps.end(), pr.overlaps.begin(),
                       pr.overlaps.end());
     pr.overlaps.clear();

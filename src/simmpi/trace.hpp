@@ -160,7 +160,8 @@ class TraceRing {
 
 /// Per-world trace state: one ring and ordinal counter per rank. Owned by
 /// World when tracing is enabled; record() is called from rank threads
-/// (each touching only its own slot), begin_job()/drain() only between jobs.
+/// (each touching only its own slot), begin_ranks()/drain_ranks() only on
+/// idle ranks.
 class TraceSink {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 15;
@@ -171,26 +172,29 @@ class TraceSink {
   TraceSink(const CostLedger& ledger, int num_ranks,
             std::size_t capacity_per_rank, std::uint32_t physical_ranks = 0);
 
-  /// Starts a job epoch: discards undrained events, resets ordinals to a
-  /// fresh world's state, and stamps subsequent events with `job_id`.
-  void begin_job(std::uint64_t job_id);
+  /// Starts job `job_id`'s epoch on ranks [rank_begin, rank_end): discards
+  /// their undrained events and resets their ordinals and overlap windows to
+  /// a fresh world's state, so a job can start on a freed rank subset while
+  /// other subsets are mid-flight. The ranks being reset must be idle (their
+  /// previous job fully drained); other ranks' producer state is untouched.
+  void begin_ranks(int rank_begin, int rank_end, std::uint64_t job_id);
 
-  /// Range-scoped epoch for streamed jobs: resets only ranks
-  /// [rank_begin, rank_end) — ordinals, rings, overlap windows — so a job
-  /// can start on a freed rank subset while other subsets are mid-flight.
-  /// The ranks being reset must be idle (their previous job fully drained);
-  /// other ranks' producer state is untouched.
-  void begin_ranks(int rank_begin, int rank_end);
-
-  /// Range-scoped drain for streamed jobs: collects what ranks
-  /// [rank_begin, rank_end) recorded since their begin_ranks() into a
-  /// world-shaped JobTrace stamped `job_id` (other ranks contribute no
-  /// events; feed the result to extract_rank_range for the solo-shaped
-  /// sub-trace). The drained ranks must be idle; concurrently running ranks
-  /// are safe — their rings are untouched and the ledger's phase table is
-  /// read under its lock.
+  /// Collects what ranks [rank_begin, rank_end) recorded since their
+  /// begin_ranks() into a world-shaped JobTrace stamped `job_id` with a
+  /// canonical phase table (other ranks contribute no events; feed the
+  /// result to extract_rank_range for the solo-shaped sub-trace of a
+  /// partial range). The drained ranks must be idle; concurrently running
+  /// ranks are safe — their rings are untouched and the ledger's phase
+  /// table is read under its lock.
   JobTrace drain_ranks(bool poisoned, int rank_begin, int rank_end,
                        std::uint64_t job_id);
+
+  /// drain_ranks over every rank, stamped with the job begun last: the
+  /// trace of a whole-world job (World::run). Must not run concurrently
+  /// with a job.
+  JobTrace drain(bool poisoned) {
+    return drain_ranks(poisoned, 0, ranks(), job_id_);
+  }
 
   /// Records one message endpoint under the ledger phase id `phase` the
   /// operation captured when it was posted. Called only by `rank`'s worker
@@ -211,10 +215,6 @@ class TraceSink {
   void set_ranks_per_node(std::uint32_t ranks_per_node) {
     ranks_per_node_ = ranks_per_node;
   }
-
-  /// Collects everything recorded since begin_job() as one JobTrace with a
-  /// canonical phase table. Must not run concurrently with a job.
-  JobTrace drain(bool poisoned);
 
   int ranks() const { return static_cast<int>(per_rank_.size()); }
 
@@ -237,7 +237,7 @@ class TraceSink {
   std::vector<std::unique_ptr<PerRank>> per_rank_;
   std::uint32_t physical_ranks_ = 0;
   std::uint32_t ranks_per_node_ = 0;  // two-level topology; 0 = flat
-  std::uint64_t job_id_ = 0;
+  std::uint64_t job_id_ = 0;  // the job begun last
 };
 
 }  // namespace parsyrk::comm

@@ -139,7 +139,7 @@ TEST(SyrkService, CacheCountsOneMissPerDistinctShape) {
   for (auto& t : tickets) t.wait();
   const auto st = svc.stats();
   // Misses == enumerator runs == distinct (shape, cap) keys; every repeat
-  // (and each solo re-resolve, if any) lands in the cache.
+  // lands in the cache.
   EXPECT_EQ(st.plan_cache.misses, 3u);
   EXPECT_GE(st.plan_cache.hits,
             static_cast<std::uint64_t>(3 * repeats - 3));
@@ -488,7 +488,7 @@ TEST(SyrkService, TopologyParticipatesInPlanCacheKey) {
   const auto st = svc.stats();
   // One miss per distinct (shape, topology) key — a single miss here would
   // mean ranks_per_node leaked out of the cache key. Each request resolves
-  // at admission and again at execution, so repeats only add hits.
+  // once, at admission, so repeats only add hits.
   EXPECT_EQ(st.plan_cache.misses, 2u);
   EXPECT_EQ(st.plan_cache.entries, 2u);
   EXPECT_GE(st.plan_cache.hits, 2u);
@@ -523,6 +523,58 @@ TEST(SyrkService, TopologyRequestsRunSoloWithNodeAccounting) {
   EXPECT_TRUE(bitwise_equal(rt.run.c, ref.c));
   EXPECT_LT(max_abs_diff(r1.run.c.view(), syrk_reference(b.view()).view()),
             1e-9);
+}
+
+TEST(SyrkService, AdmissionPricesThePlanThatRuns) {
+  // An explicit hierarchical reduce on a topology runs the hierarchical
+  // strategy; the admission price must be that plan's, not the pairwise
+  // tier split's.
+  service::ServiceOptions opts;
+  opts.procs = 8;
+  service::SyrkService svc(opts);
+  Matrix a = random_matrix(64, 32, 6);
+  const service::SyrkResult r =
+      svc.syrk(core::SyrkRequest(a)
+                   .use_1d(8)
+                   .with_reduce(core::ReduceKind::kHierarchical)
+                   .with_topology(4));
+  EXPECT_EQ(r.run.plan.strategy, core::CollectiveStrategy::kHierarchical);
+  EXPECT_EQ(r.latency.modeled_seconds,
+            core::plan_modeled_seconds(64, 32, r.run.plan,
+                                       opts.plan_options.machine, 4));
+}
+
+TEST(SyrkService, EachTicketResolvesItsPlanOnce) {
+  // Admission resolves a planner-path ticket through the plan cache; the
+  // streamed and the solo paths both run the admitted plan, so every kind
+  // of ticket costs exactly one cache lookup.
+  service::ServiceOptions opts;
+  opts.procs = 4;
+  service::SyrkService svc(opts);
+  Matrix flat = random_matrix(24, 48, 2);
+  Matrix skinny = random_matrix(192, 16, 3);  // folds 6 logical ranks onto 4
+  auto lookups = [&] {
+    const service::PlanCache::Stats s = svc.stats().plan_cache;
+    return s.hits + s.misses;
+  };
+  auto expect_one_lookup = [&](const core::SyrkRequest& req) {
+    const std::uint64_t before = lookups();
+    const service::SyrkResult r = svc.syrk(req);
+    EXPECT_EQ(lookups() - before, 1u);
+    return r;
+  };
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    SCOPED_TRACE(testing::Message() << "repeat " << repeat);
+    const auto streamed =
+        expect_one_lookup(core::SyrkRequest(flat).on_procs(2));
+    EXPECT_FALSE(streamed.run.plan.folded());
+    const auto topology =
+        expect_one_lookup(core::SyrkRequest(flat).with_topology(2));
+    EXPECT_EQ(topology.run.nodes, 2);
+    const auto folded = expect_one_lookup(core::SyrkRequest(skinny));
+    EXPECT_TRUE(folded.run.plan.folded());
+  }
+  EXPECT_EQ(svc.stats().plan_cache.misses, 3u);
 }
 
 }  // namespace

@@ -55,8 +55,12 @@ FreshRun fresh_run(const Matrix& a, const Plan& plan,
                    const SyrkOptions& opts = {}) {
   comm::World w(static_cast<int>(plan.logical_ranks()),
                 static_cast<int>(plan.procs));
+  internal::ExecBuffers exec(a, plan);
+  w.run([&](comm::Comm& comm) {
+    internal::run_syrk_plan_rank(comm, exec.a(), plan, opts, exec.c());
+  });
   FreshRun out;
-  out.c = internal::run_syrk_plan(w, a, plan, opts);
+  out.c = exec.take_result();
   out.cost = w.ledger().summary();
   return out;
 }

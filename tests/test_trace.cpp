@@ -377,7 +377,7 @@ TEST(Trace, WarmWorldJobsReplayIdentically) {
   for (int j = 0; j < 3; ++j) world.run(body);
   const JobTrace last = world.trace_sink()->drain(false);
   EXPECT_EQ(first.job_id, 1u);
-  EXPECT_EQ(last.job_id, 4u);  // only the latest job survives begin_job
+  EXPECT_EQ(last.job_id, 4u);  // each job begins its ranks afresh
   EXPECT_EQ(trace::to_binary(first), trace::to_binary(last));
 }
 

@@ -272,6 +272,124 @@ TEST(LedgerPhases, LaunchedRangeStartsInDefault) {
   EXPECT_EQ(trace.phases, std::vector<std::string>{"default"});
 }
 
+// A whole-world job's results, ledger readings and trace.
+struct WholeWorldJob {
+  std::vector<std::vector<double>> out;  // per rank
+  std::vector<CostSummary> summaries;    // all phases, then each phase
+  CostSummary inter;                     // topology'd worlds only
+  JobTrace trace;
+};
+
+/// Runs one body — pairwise and hierarchical collectives under three
+/// phases — on a fresh world of `logical` ranks folded onto `physical`,
+/// with `ranks_per_node` ranks per node, either through World::run or
+/// through launch_ranks(0, size()) and RangeJob::wait.
+WholeWorldJob run_whole_world(int logical, int physical, int ranks_per_node,
+                              bool launched) {
+  World world(logical, physical);
+  world.set_topology(ranks_per_node);
+  world.enable_tracing();
+  WholeWorldJob job;
+  job.out.resize(static_cast<std::size_t>(logical));
+  auto body = [&](Comm& comm) {
+    const int p = comm.size();
+    const double r = comm.rank();
+    std::vector<double>& out = job.out[static_cast<std::size_t>(comm.rank())];
+    comm.set_phase("gather");
+    out = comm.all_gather(std::vector<double>(3, r + 1.0));
+    comm.set_phase("reduce");
+    std::vector<double> buf(static_cast<std::size_t>(2 * p));
+    std::iota(buf.begin(), buf.end(), 10.0 * r);
+    for (double v : comm.reduce_scatter_hier(
+             buf, std::vector<std::size_t>(static_cast<std::size_t>(p), 2))) {
+      out.push_back(v);
+    }
+    comm.set_phase("exchange");
+    std::vector<std::vector<double>> send(static_cast<std::size_t>(p));
+    for (int q = 0; q < p; ++q) {
+      send[static_cast<std::size_t>(q)].assign(static_cast<std::size_t>(q + 1),
+                                               r);
+    }
+    for (const auto& part : comm.all_to_all_v_hier(send)) {
+      out.insert(out.end(), part.begin(), part.end());
+    }
+  };
+  if (launched) {
+    RangeJob range = world.launch_ranks(0, world.size(), body);
+    range.wait();
+    EXPECT_FALSE(range.failed());
+    EXPECT_FALSE(range.aborted());
+    job.trace = world.trace_sink()->drain_ranks(false, 0, world.size(),
+                                                range.job_id());
+  } else {
+    world.run(body);
+    job.trace = world.trace_sink()->drain(false);
+  }
+  const CostLedger& ledger = world.ledger();
+  job.summaries.push_back(ledger.summary());
+  for (const char* phase : {"gather", "reduce", "exchange"}) {
+    job.summaries.push_back(ledger.summary(phase));
+  }
+  if (ranks_per_node > 1) job.inter = ledger.inter_summary();
+  return job;
+}
+
+void expect_same_summary(const CostSummary& a, const CostSummary& b) {
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.ranks, b.ranks);
+}
+
+TEST(WholeWorldLaunch, MatchesWorldRunOnFoldedAndTopologyWorlds) {
+  struct Shape {
+    int logical, physical, ranks_per_node;
+  };
+  for (const Shape s : {Shape{6, 4, 1}, Shape{4, 4, 2}}) {
+    SCOPED_TRACE(testing::Message() << s.logical << " on " << s.physical
+                                    << ", " << s.ranks_per_node
+                                    << " ranks per node");
+    const WholeWorldJob run =
+        run_whole_world(s.logical, s.physical, s.ranks_per_node, false);
+    const WholeWorldJob launched =
+        run_whole_world(s.logical, s.physical, s.ranks_per_node, true);
+    EXPECT_EQ(run.out, launched.out);
+    ASSERT_EQ(run.summaries.size(), launched.summaries.size());
+    for (std::size_t i = 0; i < run.summaries.size(); ++i) {
+      expect_same_summary(run.summaries[i], launched.summaries[i]);
+    }
+    expect_same_summary(run.inter, launched.inter);
+    EXPECT_GT(run.summaries[0].total.words_sent, 0u);
+    if (s.ranks_per_node > 1) {
+      EXPECT_GT(run.inter.total.words_sent, 0u);
+    }
+    EXPECT_EQ(run.trace.job_id, launched.trace.job_id);
+    EXPECT_EQ(run.trace.ranks, launched.trace.ranks);
+    EXPECT_EQ(run.trace.physical_ranks, launched.trace.physical_ranks);
+    EXPECT_EQ(run.trace.ranks_per_node, launched.trace.ranks_per_node);
+    EXPECT_EQ(run.trace.phases, launched.trace.phases);
+    EXPECT_EQ(run.trace.events, launched.trace.events);
+    EXPECT_FALSE(run.trace.events.empty());
+  }
+}
+
+TEST(WholeWorldLaunch, PartialRangesNeedAnUnfoldedFlatWorld) {
+  World folded(6, 4);
+  World topology(4);
+  topology.set_topology(2);
+  const auto idle = [](Comm&) {};
+  EXPECT_THROW(folded.launch_ranks(0, 3, idle), InvalidArgument);
+  EXPECT_THROW(folded.launch_ranks(3, 6, idle), InvalidArgument);
+  EXPECT_THROW(topology.launch_ranks(0, 2, idle), InvalidArgument);
+  EXPECT_THROW(topology.launch_ranks(2, 4, idle), InvalidArgument);
+  // The rejected launches left both worlds idle and usable.
+  EXPECT_EQ(folded.jobs_run(), 0u);
+  EXPECT_EQ(topology.jobs_run(), 0u);
+  folded.run(idle);
+  topology.run(idle);
+  EXPECT_EQ(folded.jobs_run(), 1u);
+  EXPECT_EQ(topology.jobs_run(), 1u);
+}
+
 TEST(LedgerSnapshots, SinceDiffsAreExact) {
   CostLedger ledger(2);
   ledger.set_phase(0, "a");
