@@ -164,76 +164,70 @@ ResolvedRequest resolve_request(const Session& session,
   return out;
 }
 
+void launch_request(comm::World& world, const SyrkRequest& req,
+                    const ResolvedRequest& resolved, int base, RequestJob& job,
+                    std::function<void()> on_complete) {
+  job.exec = ExecBuffers(*req.a, resolved.plan);
+  job.before = world.ledger().snapshot();
+  job.handle = world.launch_ranks(
+      base, base + static_cast<int>(resolved.plan.logical_ranks()),
+      [&job, &resolved](comm::Comm& comm) {
+        run_syrk_plan_rank(comm, job.exec.a(), resolved.plan,
+                           resolved.options, job.exec.c());
+      },
+      std::move(on_complete));
+}
+
 SyrkRun run_resolved(Session& session, const SyrkRequest& req,
                      const ResolvedRequest& resolved) {
-  const Plan& plan = resolved.plan;
   // Folded plans execute on a dedicated cached world of logical_ranks()
   // ranks folded onto plan.procs physical ranks; everything else runs on
   // the session's own world. The request's topology is stamped on the world
   // it runs on (ranks_per_node=1 restores the flat machine, so a later
   // untopology'd request on the same session world is unaffected).
-  comm::World& world = session.world_for(plan);
+  comm::World& world = session.world_for(resolved.plan);
   world.set_topology(resolved.options.ranks_per_node);
   if (req.trace) world.enable_tracing();
   if (req.verify) world.enable_verify();
-  const comm::CostLedger::Snapshot before = world.ledger().snapshot();
-  ExecBuffers exec(*req.a, plan);
-  const int active_ranks = static_cast<int>(plan.logical_ranks());
-  if (active_ranks == world.size()) {
-    // Full-size plan (and every folded plan — the folded world is sized to
-    // the logical grid exactly): run directly on the world communicator (no
-    // per-job split on the hot path).
-    world.run([&](comm::Comm& wc) {
-      run_syrk_plan_rank(wc, exec.a(), plan, resolved.options, exec.c());
-    });
-  } else {
-    world.run([&](comm::Comm& wc) {
-      const bool active = wc.rank() < active_ranks;
-      // Every rank takes part in the split (it is collective and
-      // ledger-muted, so measured volumes match a world of exactly
-      // plan.procs ranks); idle ranks then sit the job out.
-      comm::Comm sub = wc.split(active ? 0 : 1, wc.rank());
-      if (!active) return;
-      run_syrk_plan_rank(sub, exec.a(), plan, resolved.options, exec.c());
-    });
-  }
-  return collect_run(world, req, plan, exec, before, 0, world.size(),
-                     world.jobs_run());
+  RequestJob job;
+  launch_request(world, req, resolved, /*base=*/0, job);
+  world.join(job.handle);
+  return collect_run(world, req, resolved.plan, job);
 }
 
 SyrkRun collect_run(comm::World& world, const SyrkRequest& req,
-                    const Plan& plan, ExecBuffers& exec,
-                    const comm::CostLedger::Snapshot& before, int rank_begin,
-                    int rank_end, std::uint64_t job_id) {
+                    const Plan& plan, RequestJob& job) {
+  const int rank_begin = job.handle.rank_begin();
+  const int rank_end = job.handle.rank_end();
   const Matrix& a = *req.a;
   const comm::CostLedger& ledger = world.ledger();
   SyrkRun run;
   run.plan = plan;
-  run.c = exec.take_result();
-  run.total = ledger.summary_since(before, rank_begin, rank_end);
+  run.c = job.exec.take_result();
+  run.total = ledger.summary_since(job.before, rank_begin, rank_end);
   run.gather_a =
-      ledger.summary_since(before, kPhaseGatherA, rank_begin, rank_end);
+      ledger.summary_since(job.before, kPhaseGatherA, rank_begin, rank_end);
   run.reduce_c =
-      ledger.summary_since(before, kPhaseReduceC, rank_begin, rank_end);
+      ledger.summary_since(job.before, kPhaseReduceC, rank_begin, rank_end);
   run.scatter_a =
-      ledger.summary_since(before, kPhaseScatterA, rank_begin, rank_end);
+      ledger.summary_since(job.before, kPhaseScatterA, rank_begin, rank_end);
   if (world.ranks_per_node() > 1) {
-    // Nodes the *plan* spans, not the whole session world — the request may
-    // run on an active-ranks prefix of a larger world. Idle ranks record
-    // nothing, so the inter summary's busiest node is among the active ones.
+    // The nodes the job's ranks touch, not the whole session world. Ranks
+    // outside the job record nothing (a topology'd job runs alone, at base
+    // 0), so the inter summary's busiest node is among the job's.
     const int rpn = world.ranks_per_node();
     run.nodes = (static_cast<int>(plan.procs) + rpn - 1) / rpn;
-    run.total_inter = ledger.inter_summary_since(before);
+    run.total_inter = ledger.inter_summary_since(job.before);
   }
   if (a.rows() >= 2) {
     run.bound = bounds::syrk_lower_bound(a.rows(), a.cols(), plan.procs);
   }
   if (req.trace) {
     // The range's world-shaped trace holds exactly this job's events;
-    // rebasing them gives the trace of the same job run solo.
+    // rebasing them gives the trace of the same job run at base 0.
     run.trace = comm::extract_rank_range(
         world.trace_sink()->drain_ranks(/*poisoned=*/false, rank_begin,
-                                        rank_end, job_id),
+                                        rank_end, job.handle.job_id()),
         rank_begin, rank_end);
   }
   return run;

@@ -44,8 +44,8 @@ using PlanResolver = std::function<std::shared_ptr<const PlanReport>(
     const PlanSearchOptions& options)>;
 
 /// Owns a warm world of a fixed rank count. Construct once, issue many
-/// requests; requests may use up to size() ranks (smaller plans run on an
-/// active-ranks sub-communicator, idle ranks sit the job out).
+/// requests; requests may use up to size() ranks (a smaller plan runs on
+/// the world's first plan-size ranks alone, and the others take no part).
 class Session {
  public:
   /// Leases `num_ranks` workers from the process-wide shared pool.
@@ -267,24 +267,46 @@ struct ResolvedRequest {
 ResolvedRequest resolve_request(const Session& session,
                                 const SyrkRequest& req);
 
-/// Runs an already resolved request as one job on the session's warm world
-/// (the folded world world_for picks, stamped with the request's topology)
-/// and collects its SyrkRun: core::syrk after its resolve step, and the
-/// service's solo path after admission.
+/// One request's job: its execution-size buffers, the ledger snapshot
+/// taken at launch, and the launched job, whose rank range is the
+/// request's. The rank bodies refer to it, so it stays in place until the
+/// job completes.
+struct RequestJob {
+  RequestJob() = default;
+  RequestJob(const RequestJob&) = delete;
+  RequestJob& operator=(const RequestJob&) = delete;
+
+  ExecBuffers exec;
+  comm::CostLedger::Snapshot before;
+  comm::RangeJob handle;
+};
+
+/// The one launch step, behind run_resolved and the service's streamed
+/// dispatch: builds `job`'s buffers, snapshots the ledger and launches
+/// run_syrk_plan_rank on world ranks [base, base + plan.logical_ranks()),
+/// which must be idle. `resolved` must outlive the job as well.
+/// `on_complete` is World::launch_ranks's.
+void launch_request(comm::World& world, const SyrkRequest& req,
+                    const ResolvedRequest& resolved, int base, RequestJob& job,
+                    std::function<void()> on_complete = {});
+
+/// Runs an already resolved request alone on the world world_for picks,
+/// stamped with the request's topology, trace and verify settings: the
+/// launch step at base 0, World::join (which recovers the world and
+/// rethrows when a rank failed), then the collect step. core::syrk after
+/// its resolve step, and the service's solo path after admission.
 SyrkRun run_resolved(Session& session, const SyrkRequest& req,
                      const ResolvedRequest& resolved);
 
-/// The one collect step: the SyrkRun of a finished job that ran `plan` for
-/// `req` on world ranks [rank_begin, rank_end) since `before`. It holds the
-/// result moved out of `exec`; the ledger summaries (total and per phase)
-/// over the range; the Theorem 1 bound at plan.procs; on a topology'd
-/// world, the plan's node count and the inter-node summary; and, for a
-/// traced request, job `job_id`'s trace drained over the range and rebased
-/// to rank_begin. The range's ranks must be idle.
+/// The one collect step: the SyrkRun of `job`, a finished launch of `plan`
+/// for `req`, read over the job's rank range. It holds the result moved
+/// out of the job's buffers; the ledger summaries (total and per phase)
+/// over the range since launch; the Theorem 1 bound at plan.procs; on a
+/// topology'd world, the plan's node count and the inter-node summary;
+/// and, for a traced request, the job's trace drained over the range and
+/// rebased to its first rank. The range's ranks must be idle.
 SyrkRun collect_run(comm::World& world, const SyrkRequest& req,
-                    const Plan& plan, ExecBuffers& exec,
-                    const comm::CostLedger::Snapshot& before, int rank_begin,
-                    int rank_end, std::uint64_t job_id);
+                    const Plan& plan, RequestJob& job);
 
 }  // namespace internal
 

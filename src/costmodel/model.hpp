@@ -82,12 +82,6 @@ inline CollectiveCost all_gather_pairwise(std::uint64_t p, double w) {
   return {pd - 1.0, (1.0 - 1.0 / pd) * w, 0.0};
 }
 
-/// All-reduce composed as reduce-scatter + all-gather (bandwidth-optimal):
-/// 2·(1−1/P)·w words, 2(P−1) messages, (1−1/P)·w adds.
-inline CollectiveCost all_reduce_pairwise(std::uint64_t p, double w) {
-  return reduce_scatter_pairwise(p, w) + all_gather_pairwise(p, w);
-}
-
 /// Bruck concatenation all-gather (§6): ceil(log2 P) messages and the same
 /// (1−1/P)·w bandwidth — latency- and bandwidth-optimal simultaneously.
 inline CollectiveCost all_gather_bruck(std::uint64_t p, double w) {

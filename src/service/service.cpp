@@ -206,17 +206,13 @@ bool SyrkService::admit(detail::TicketState& st) {
   }
 }
 
-/// Per-job execution state of one streamed dispatch. Heap-pinned for its
-/// whole flight: the rank bodies capture a raw pointer into it.
+/// One streamed dispatch. Heap-pinned for its whole flight: the rank
+/// bodies refer to `launch`, and the completion callback to the StreamJob.
 struct SyrkService::StreamJob {
   std::shared_ptr<detail::TicketState> st;
-  comm::RangeJob handle;
-  int base = 0;
-  int procs = 0;
-  core::internal::ExecBuffers exec;  // padded A + result assembly target
-  /// Ledger snapshot at launch; the job's range is idle then, so
-  /// rank-range summaries against it are exact even while other ranges run.
-  comm::CostLedger::Snapshot before;
+  /// Buffers, launch-time ledger snapshot (exact for the job's range even
+  /// while other ranges run) and the RangeJob, from core's launch step.
+  core::internal::RequestJob launch;
   /// Shared the world with another in-flight job at any point of its
   /// flight (reported as SyrkResult::batched).
   bool batched = false;
@@ -250,8 +246,9 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
       // Hold drain()/resize() off while the job finalizes outside the lock.
       work_in_flight_ = true;
       lock.unlock();
-      job->handle.wait();  // returns immediately; runs the drained check
-      const bool job_failed = job->handle.failed() || job->handle.aborted();
+      job->launch.handle.wait();  // returns immediately; runs the drained check
+      const bool job_failed =
+          job->launch.handle.failed() || job->launch.handle.aborted();
       if (!job_failed) finalize_stream_job(*job);
       lock.lock();
       if (job_failed) {
@@ -261,10 +258,9 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
         to_retry.push_back(job->st);
       }
       const auto now = std::chrono::steady_clock::now();
-      for (int r = job->base;
-           r < job->base + job->procs &&
-           r < static_cast<int>(free_at.size());
-           ++r) {
+      const comm::RangeJob& ranks = job->launch.handle;
+      for (int r = ranks.rank_begin();
+           r < ranks.rank_end() && r < static_cast<int>(free_at.size()); ++r) {
         free_at[static_cast<std::size_t>(r)] = now;
       }
     }
@@ -367,7 +363,8 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
           std::vector<char> rank_busy(static_cast<std::size_t>(world_size), 0);
           double inflight_modeled = 0.0;
           for (const auto& j : inflight) {
-            for (int r = j->base; r < j->base + j->procs; ++r) {
+            const comm::RangeJob& ranks = j->launch.handle;
+            for (int r = ranks.rank_begin(); r < ranks.rank_end(); ++r) {
               rank_busy[static_cast<std::size_t>(r)] = 1;
             }
             inflight_modeled += j->st->modeled_seconds;
@@ -411,37 +408,9 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
 
             auto job = std::make_unique<StreamJob>();
             job->st = st;
-            job->base = p.base_rank;
-            job->procs = static_cast<int>(st->resolved.plan.logical_ranks());
-            job->exec =
-                core::internal::ExecBuffers(*st->request.a, st->resolved.plan);
-            job->before = world.ledger().snapshot();
-
-            ++stats_.rounds;
-            if (!inflight.empty()) {
-              ++stats_.interleaved_jobs;
-              job->batched = true;
-              for (auto& other : inflight) other->batched = true;
-            }
-            // Work-conservation gap: idle time of the job's ranks since
-            // they last freed — or since the job was submitted, if later
-            // (a rank cannot run work that does not exist yet).
-            for (int r = job->base; r < job->base + job->procs; ++r) {
-              const auto could_start =
-                  std::max(free_at[static_cast<std::size_t>(r)],
-                           st->submitted_at);
-              stats_.scheduler_gap_seconds +=
-                  std::max(0.0, seconds_between(could_start, dispatched_at));
-            }
-
             StreamJob* raw = job.get();
-            job->handle = world.launch_ranks(
-                job->base, job->base + job->procs,
-                [raw](comm::Comm& c) {
-                  const core::internal::ResolvedRequest& r = raw->st->resolved;
-                  core::internal::run_syrk_plan_rank(c, raw->exec.a(), r.plan,
-                                                     r.options, raw->exec.c());
-                },
+            core::internal::launch_request(
+                world, st->request, st->resolved, p.base_rank, job->launch,
                 [this, raw] {
                   // Notify while holding the lock: this callback runs on a
                   // pool-worker thread, and the scheduler (then ~SyrkService)
@@ -452,6 +421,24 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
                   stream_completed_.push_back(raw);
                   work_cv_.notify_all();
                 });
+
+            ++stats_.rounds;
+            if (!inflight.empty()) {
+              ++stats_.interleaved_jobs;
+              job->batched = true;
+              for (auto& other : inflight) other->batched = true;
+            }
+            // Work-conservation gap: idle time of the job's ranks since
+            // they last freed — or since the job was submitted, if later
+            // (a rank cannot run work that does not exist yet).
+            const comm::RangeJob& ranks = job->launch.handle;
+            for (int r = ranks.rank_begin(); r < ranks.rank_end(); ++r) {
+              const auto could_start =
+                  std::max(free_at[static_cast<std::size_t>(r)],
+                           st->submitted_at);
+              stats_.scheduler_gap_seconds +=
+                  std::max(0.0, seconds_between(could_start, dispatched_at));
+            }
             inflight.push_back(std::move(job));
           }
         }
@@ -480,11 +467,8 @@ void SyrkService::streaming_loop(std::unique_lock<std::mutex>& lock) {
 void SyrkService::finalize_stream_job(StreamJob& job) {
   finish(job.st,
          core::internal::collect_run(session_->world(), job.st->request,
-                                     job.st->resolved.plan, job.exec,
-                                     job.before, job.base,
-                                     job.base + job.procs,
-                                     job.handle.job_id()),
-         job.batched, job.base);
+                                     job.st->resolved.plan, job.launch),
+         job.batched, job.launch.handle.rank_begin());
 }
 
 void SyrkService::run_solo(const std::shared_ptr<detail::TicketState>& st,
@@ -539,9 +523,9 @@ void SyrkService::finish(const std::shared_ptr<detail::TicketState>& st,
     stats_.total_service_seconds += res.latency.service_seconds;
     trace::TimelineInterval iv;
     iv.job_id = res.completion_seq;
+    // Physical ranks: a folded job's logical ranks share plan.procs of them.
     iv.rank_begin = base_rank;
-    iv.rank_end =
-        base_rank + static_cast<int>(st->resolved.plan.logical_ranks());
+    iv.rank_end = base_rank + static_cast<int>(st->resolved.plan.procs);
     iv.start_seconds = seconds_between(epoch_, st->dispatched_at);
     iv.end_seconds = seconds_between(epoch_, now);
     iv.solo = !batched;

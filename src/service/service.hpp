@@ -29,8 +29,9 @@
 // service runs core::syrk's steps: admission is its resolve step
 // (core::internal::resolve_request, the one plan resolution per ticket);
 // solo jobs run the admitted plan through core::internal::run_resolved, and
-// streamed jobs run the same per-rank body on their range and end in the
-// same collect step (core::internal::collect_run).
+// streamed jobs take the same launch step (core::internal::launch_request)
+// at their placement and end in the same collect step
+// (core::internal::collect_run).
 #pragma once
 
 #include <chrono>

@@ -56,10 +56,10 @@ std::vector<double> watched_pop(World* world, Mailbox& mb, const Envelope& env,
 }
 
 /// Appends kLedgerImbalance findings when a quiesced job's double-entry
-/// accounting does not balance: per phase, words/messages sent must equal
-/// words/messages received, both overall and on the inter-node tier. Walks
-/// the whole phase table, "default" included (phases without traffic
-/// balance trivially).
+/// accounting over its ranks [rank_begin, rank_end) does not balance: per
+/// phase, words/messages sent must equal words/messages received, both
+/// overall and on the inter-node tier. Walks the whole phase table,
+/// "default" included (phases without traffic balance trivially).
 void append_ledger_balance(const CostLedger& ledger,
                            const CostLedger::Snapshot& snap, int rank_begin,
                            int rank_end, bool check_inter, std::uint64_t job,
@@ -72,7 +72,7 @@ void append_ledger_balance(const CostLedger& ledger,
     CostSummary inter;
     bool inter_balanced = true;
     if (check_inter) {
-      inter = ledger.inter_summary_since(snap, phase);
+      inter = ledger.inter_summary_since(snap, phase, rank_begin, rank_end);
       inter_balanced = inter.total.words_sent == inter.total.words_recv &&
                        inter.total.msgs_sent == inter.total.msgs_recv;
     }
@@ -216,7 +216,10 @@ void World::run(const std::function<void(Comm&)>& body) {
   // `body` outlives the job (this call waits for every rank), so the job
   // refers to it instead of copying it.
   RangeJob job = launch_ranks(0, size(), std::cref(body));
-  lease_.wait();  // every rank's task has returned, not only its body
+  join(job);
+}
+
+void World::join(RangeJob& job) {
   job.wait();
   if (job.failed() || job.aborted()) {
     recover_after_failure();
@@ -242,11 +245,11 @@ void RangeJob::wait() {
   if (!st.error && !st.any_aborted) {
     // End-of-job verification for the range: the scope's deferred findings
     // (request leaks, sequence-length divergence), undrained messages, and
-    // ledger balance (per tier when the world has a topology, which only
-    // whole-world jobs run on). wait() is documented never to throw the
-    // job's error, and the service's scheduler thread calls it mid-stream —
-    // so findings are recorded as the job's error() (and the range's
-    // mailboxes drained to keep the world usable), not thrown.
+    // the range's ledger balance (per tier too when the world has a
+    // topology). wait() is documented never to throw the job's error, and
+    // the service's scheduler thread calls it mid-stream — so findings are
+    // recorded as the job's error() (and the range's mailboxes drained to
+    // keep the world usable), not thrown.
     if (verify::Verifier* v = st.world->verifier()) {
       verify::VerifyReport report = v->end_scope(st.rank_begin, st.rank_end);
       for (int r = st.rank_begin; r < st.rank_end; ++r) {
@@ -290,10 +293,6 @@ RangeJob World::launch_ranks(int rank_begin, int rank_end,
   PARSYRK_REQUIRE(whole_world || !folded(),
                   "launch_ranks on a partial range requires an unfolded "
                   "world (folded accounting spans all ranks)");
-  PARSYRK_REQUIRE(whole_world || ranks_per_node_ == 1,
-                  "launch_ranks on a partial range requires the flat "
-                  "topology (a node-aware range would split nodes across "
-                  "jobs)");
   const std::uint64_t job_id = ++jobs_run_;
   ledger_.begin_ranks(rank_begin, rank_end);
   if (trace_sink_) trace_sink_->begin_ranks(rank_begin, rank_end, job_id);
@@ -361,7 +360,7 @@ RangeJob World::launch_ranks(int rank_begin, int rank_end,
       {
         std::lock_guard lock(st->mu);
         if (rank_aborted) st->any_aborted = true;
-        // Lowest failing rank wins; World::run rethrows it.
+        // Lowest failing rank wins; World::join rethrows it.
         if (err && (st->error_rank < 0 || gr < st->error_rank)) {
           st->error = err;
           st->error_rank = gr;
@@ -704,9 +703,6 @@ void Comm::note_collective(OpKind kind, std::uint64_t signature,
   verify::Verifier* v = world_->verifier();
   if (v == nullptr) return;
   verify::Verifier::CollectiveSite site;
-  // The *structural* kind, not an enclosing OpScope's label: an all_reduce
-  // is its reduce-scatter + all-gather composition on every rank, so the
-  // members compare equal exactly when they run the same schedule.
   site.kind = static_cast<std::uint8_t>(kind);
   site.name = op_kind_name(kind);
   site.signature = signature;
@@ -726,7 +722,7 @@ std::shared_ptr<detail::OpState> Comm::make_op(OpKind kind) const {
   st->world = world_;
   st->group = group_;
   st->rank = rank_;
-  st->kind = op_kind_.value_or(kind);
+  st->kind = kind;
   st->mute = mute_ledger_;
   st->phase = world_->ledger().phase_of(world_rank());
   return st;
@@ -873,12 +869,6 @@ std::vector<double> Comm::reduce_scatter_equal(std::span<const double> data) {
                   " words is not divisible by ", p, " ranks");
   return reduce_scatter(data,
                         std::vector<std::size_t>(p, data.size() / p));
-}
-
-std::vector<double> Comm::all_reduce(std::span<const double> data) {
-  OpScope scope(*this, OpKind::kAllReduce);
-  auto mine = reduce_scatter_equal(data);
-  return all_gather(mine);
 }
 
 std::vector<double> Comm::all_gather(std::span<const double> mine) {
@@ -1268,8 +1258,9 @@ std::vector<double> Comm::scatter(
 // Composed from split() plus the rooted and pairwise primitives, so every
 // message rides the existing engine (tags, ledger tiers, trace kinds all
 // come for free). Node membership is by *world* topology: a communicator
-// qualifies when its members form complete, node-aligned groups — which the
-// session's contiguous active-ranks splits always do on a topology'd world.
+// qualifies when its members form complete, node-aligned groups — as a
+// request's ranks [0, plan size) do when the plan spans whole nodes; a
+// request over part of a node falls back to the flat schedule.
 
 bool Comm::hier_available() const {
   const int rpn = world_->ranks_per_node();

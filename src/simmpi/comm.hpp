@@ -15,7 +15,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -137,12 +136,12 @@ struct RangeJobState {
 
 }  // namespace detail
 
-/// Handle to one in-flight streamed job on a rank subset of a World
+/// Handle to one job launched on a rank range of a World
 /// (World::launch_ranks). Completion is observed either by polling done(),
-/// blocking in wait(), or through the on_complete callback the job was
-/// launched with. Unlike World::run, failure is reported through failed() /
-/// error() rather than rethrown — the launching thread is not inside the
-/// job when it dies.
+/// blocking in wait() or World::join(), or through the on_complete callback
+/// the job was launched with. Unlike World::join, wait() reports failure
+/// through failed() / error() rather than rethrowing it — the launching
+/// thread is not inside the job when it dies.
 class RangeJob {
  public:
   RangeJob() = default;
@@ -158,10 +157,11 @@ class RangeJob {
 
   /// Blocks until every rank has returned, then (on a clean completion)
   /// checks the job's mailboxes drained — the one end-of-job check, which
-  /// World::run runs too. Under verify mode the range's end-of-job analyses
-  /// run here as well; findings are recorded as the job's error() (a
-  /// verify::VerifyError), not thrown. Never throws the job's error;
-  /// inspect failed()/aborted()/error() after.
+  /// World::join runs too. Under verify mode the range's end-of-job
+  /// analyses run here as well, its ledger balance (per tier on a
+  /// topology'd world) summed over the range alone; findings are recorded
+  /// as the job's error() (a verify::VerifyError), not thrown. Never throws
+  /// the job's error; inspect failed()/aborted()/error() after.
   void wait();
 
   /// A rank threw a real (non-RankAborted) exception. Valid once done().
@@ -216,11 +216,6 @@ class Comm {
 
   /// Reduce-scatter with equal block sizes; data.size() % size() == 0.
   std::vector<double> reduce_scatter_equal(std::span<const double> data);
-
-  /// All-reduce (sum) composed bandwidth-optimally as reduce-scatter +
-  /// all-gather: 2·(1−1/P)·w words, 2(P−1) messages. Requires
-  /// data.size() % size() == 0.
-  std::vector<double> all_reduce(std::span<const double> data);
 
   /// All-gather with equal contributions; returns the size()*mine.size()
   /// concatenation in rank order.
@@ -376,40 +371,17 @@ class Comm {
                        std::int64_t count, int root = -1) const;
 
   /// Allocates engine state for one operation, capturing the posting
-  /// context (kind honours an enclosing OpScope; the phase id is read from
-  /// the ledger).
+  /// context (the phase id is read from the ledger).
   std::shared_ptr<detail::OpState> make_op(OpKind kind) const;
 
   static constexpr std::int64_t kTagStride = 4096;
   static constexpr std::int64_t kOpsPerHandle = std::int64_t{1} << 20;
-
-  /// Labels the traced messages of one collective with its kind; the
-  /// outermost operation wins (an All-Reduce's inner Reduce-Scatter stays
-  /// labelled all_reduce). Collective methods open one on entry.
-  class OpScope {
-   public:
-    OpScope(Comm& comm, OpKind kind) : comm_(comm), outer_(comm.op_kind_) {
-      if (!outer_) comm_.op_kind_ = kind;
-    }
-    ~OpScope() {
-      if (!outer_) comm_.op_kind_.reset();
-    }
-    OpScope(const OpScope&) = delete;
-    OpScope& operator=(const OpScope&) = delete;
-
-   private:
-    Comm& comm_;
-    std::optional<OpKind> outer_;
-  };
 
   World* world_;
   std::shared_ptr<detail::Group> group_;
   int rank_;
   std::int64_t tag_base_ = 0;  // handle_gen · kOpsPerHandle
   std::int64_t op_seq_ = 0;  // advances identically on all ranks (collectives)
-  // The collective this rank is currently inside, for trace attribution;
-  // empty between collectives (point-to-point traffic).
-  std::optional<OpKind> op_kind_;
   // Communicator setup (split's color/key exchange) is bookkeeping, not
   // algorithm traffic; it is excluded from the cost ledger, matching the
   // paper's accounting where the processor grid exists a priori.
@@ -513,16 +485,22 @@ class World {
   /// The verifier while enabled (nullptr otherwise).
   verify::Verifier* verifier() const { return verifier_.get(); }
 
-  /// Executes `body` as one job: launch_ranks(0, size(), body), then a wait
-  /// until every rank's task has returned. The SPMD bodies are handed to the
-  /// size() already-parked pool workers (condition-variable handoff — no
-  /// thread is created or joined here) and run one per rank. If a rank
-  /// throws, the runtime is poisoned so ranks blocked in receives or
-  /// barriers unwind with RankAborted; after every rank finishes, the
-  /// runtime is reset so the World — and its leased workers — stay usable
-  /// for the next job, and the original exception is rethrown (lowest
-  /// failing rank wins).
+  /// Executes `body` as one job: launch_ranks(0, size(), body), then
+  /// join(). The SPMD bodies are handed to the size() already-parked pool
+  /// workers (condition-variable handoff — no thread is created or joined
+  /// here) and run one per rank.
   void run(const std::function<void(Comm&)>& body);
+
+  /// Waits for `job`, launched on this world, through RangeJob::wait (every
+  /// rank of the job has returned; the end-of-job check). Jobs on other
+  /// ranges may still be running. If a rank throws, the runtime is
+  /// poisoned world-wide so ranks blocked in receives or barriers unwind
+  /// with RankAborted; after every rank of the job finishes, join() resets
+  /// the runtime — which needs every other job to have finished too — so
+  /// the World and its leased workers stay usable for the next job, and
+  /// rethrows the original exception (lowest failing rank wins), or
+  /// RankAborted when ranks only aborted.
+  void join(RangeJob& job);
 
   // ---- Streamed execution (work-conserving scheduling substrate) ----
   //
@@ -548,9 +526,10 @@ class World {
   // that keeps streamed results bitwise-identical.
 
   /// Launches `body` on ranks [rank_begin, rank_end) and returns
-  /// immediately. A partial range needs an unfolded, flat world; the whole
-  /// world may be folded or topology'd. Each rank's Comm spans the range
-  /// (size == rank_end - rank_begin, rank 0 == world rank rank_begin).
+  /// immediately. A partial range needs an unfolded world; on a topology'd
+  /// one, the range's nodes are the world nodes its ranks sit on. The whole
+  /// world may be folded. Each rank's Comm spans the range (size ==
+  /// rank_end - rank_begin, rank 0 == world rank rank_begin).
   /// `on_complete`, if given, fires exactly once on the last finishing
   /// rank's worker thread — it must be cheap and must not launch jobs or
   /// touch the World directly (signal the scheduling thread instead).
@@ -559,8 +538,8 @@ class World {
                         std::function<void()> on_complete = {});
 
   /// Clears poison and undelivered messages after a job failed, restoring
-  /// the world for further launches (World::run calls it itself). Call
-  /// only once every in-flight RangeJob has completed.
+  /// the world for further launches (join() calls it itself). Call only
+  /// once every in-flight RangeJob has completed.
   void recover_after_failure();
 
  private:

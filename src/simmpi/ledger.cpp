@@ -224,9 +224,10 @@ CostSummary CostLedger::inter_summary_since(const Snapshot& since) const {
 }
 
 CostSummary CostLedger::inter_summary_since(const Snapshot& since,
-                                            const std::string& phase) const {
-  return summarize(&phase, &since, 0, static_cast<int>(ranks_.size()),
-                   /*inter=*/true);
+                                            const std::string& phase,
+                                            int rank_begin,
+                                            int rank_end) const {
+  return summarize(&phase, &since, rank_begin, rank_end, /*inter=*/true);
 }
 
 std::vector<Counters> CostLedger::per_rank_since(const Snapshot& since) const {

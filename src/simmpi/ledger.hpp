@@ -192,14 +192,14 @@ class CostLedger {
 
   // ---- Rank-range accounting (streamed-job support) ----
   //
-  // When several jobs share one world on disjoint rank ranges (the service
-  // layer's streamed jobs, launched through World::launch_ranks), each
-  // job's traffic lives entirely in its range [rank_begin, rank_end). The
-  // range variants restrict the sum and the per-bucket max to that range
-  // while keeping CostSummary::ranks at the world's processor count — so a
-  // job placed at any base rank summarizes identically to the same job run
-  // solo on this world (where the ranks outside its active set record
-  // nothing). Unfolded worlds only.
+  // A job launched on a rank range (World::launch_ranks: a request smaller
+  // than its session, or one of the service's streamed jobs sharing the
+  // world with others on disjoint ranges) keeps all its traffic inside its
+  // range [rank_begin, rank_end). The range variants restrict the sum and
+  // the per-bucket max to that range while keeping CostSummary::ranks at
+  // the world's processor count — so a job placed at any base rank
+  // summarizes identically to the same job at base 0. A partial range
+  // needs an unfolded world.
 
   CostSummary summary_since(const Snapshot& since, int rank_begin,
                             int rank_end) const;
@@ -216,9 +216,11 @@ class CostLedger {
 
   CostSummary inter_summary() const;
   CostSummary inter_summary_since(const Snapshot& since) const;
-  /// Per-phase variant of inter_summary_since (verify-mode tier balance).
+  /// One phase of inter_summary_since over ranks [rank_begin, rank_end),
+  /// as the range variants of summary_since (verify-mode tier balance).
   CostSummary inter_summary_since(const Snapshot& since,
-                                  const std::string& phase) const;
+                                  const std::string& phase, int rank_begin,
+                                  int rank_end) const;
 
   /// Per-rank counters (all phases) recorded after `since` was taken.
   std::vector<Counters> per_rank_since(const Snapshot& since) const;

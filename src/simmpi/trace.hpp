@@ -27,10 +27,11 @@
 
 namespace parsyrk::comm {
 
-/// Which communicator operation a message belongs to. The outermost
-/// operation wins: the Reduce-Scatter inside an All-Reduce is labelled
-/// kAllReduce. Values are part of the binary golden-trace format — append
-/// only, never renumber.
+/// Which communicator operation posted a message (a composed collective's
+/// messages carry the kinds of the operations it is built from). Values are
+/// part of the binary golden-trace format — append only, never renumber;
+/// kAllReduce labels no message since the runtime has no all-reduce, and
+/// keeps its value for that reason.
 enum class OpKind : std::uint8_t {
   kPointToPoint = 0,
   kAllToAllV = 1,

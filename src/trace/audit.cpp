@@ -138,10 +138,11 @@ AuditReport BoundAuditor::audit(std::uint64_t n1, std::uint64_t n2,
 
   if (trace != nullptr) {
     rep.trace_checked = true;
-    // The run may have executed on an active-ranks subset of a larger
-    // session world; the trace covers every world rank, idle ones with zero
-    // counters, so a direct per-rank comparison against the request-scoped
-    // rollup is still exact — provided no events were lost.
+    // The run may have executed on the first ranks of a larger session
+    // world; the trace keeps the world's rank count, ranks outside the
+    // request with zero counters, so a direct per-rank comparison against
+    // the request-scoped rollup is still exact — provided no events were
+    // lost.
     Rollup rollup(*trace);
     const auto per_rank = rollup.per_rank();
     rep.trace_consistent = trace->dropped == 0 && !trace->poisoned;

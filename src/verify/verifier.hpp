@@ -130,9 +130,7 @@ class Verifier {
   // ---- Analysis 1: collective matching ----
 
   struct CollectiveSite {
-    std::uint8_t kind = 0;        // comm::OpKind value (structural, not
-                                  // OpScope-overridden — an all_reduce is
-                                  // its RS+AG composition on every rank)
+    std::uint8_t kind = 0;        // comm::OpKind value
     const char* name = "";        // op_kind_name(kind)
     std::uint64_t signature = 0;  // kind-specific count/layout digest
     std::int64_t count = 0;       // representative element count for reports

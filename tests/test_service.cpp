@@ -206,6 +206,24 @@ TEST(SyrkService, DispatchOrderIsFifoAcrossMixedSizes) {
   }
 }
 
+TEST(SyrkService, TimelineLanesOfAFoldedJobAreItsPhysicalRanks) {
+  // The planner folds 512x16 on 4 workers to 2D's 6 logical ranks; the job
+  // occupies the service's 4 ranks, not 6.
+  service::ServiceOptions opts;
+  opts.procs = 4;
+  service::SyrkService svc(opts);
+  const Matrix a = random_matrix(512, 16, 21);
+  const service::SyrkResult res = svc.syrk(core::SyrkRequest(a));
+  ASSERT_TRUE(res.run.plan.folded());
+  ASSERT_EQ(res.run.plan.logical_ranks(), 6u);
+  const auto tl = svc.timeline();
+  ASSERT_EQ(tl.intervals().size(), 1u);
+  EXPECT_EQ(tl.intervals()[0].rank_begin, 0);
+  EXPECT_EQ(tl.intervals()[0].rank_end, 4);
+  EXPECT_EQ(tl.ranks(), 4);
+  EXPECT_EQ(tl.busy_seconds(5), 0.0);
+}
+
 TEST(SyrkService, BatchedJobsMatchSoloRunsBitwise) {
   service::SyrkService svc(packable_options(12));
   const std::uint64_t caps[] = {2, 3, 4, 3};

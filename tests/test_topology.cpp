@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/planner.hpp"
@@ -255,6 +256,41 @@ TEST(SyrkTopology, TopologyIsPerRequestNotSticky) {
   const core::SyrkRun second = core::syrk(session, flat);
   EXPECT_EQ(second.nodes, 0);
   EXPECT_EQ(second.total_inter.total.words_sent, 0u);
+}
+
+TEST(SyrkTopology, SubSessionRequestMatchesExactSession) {
+  // A plan smaller than its topology'd session runs on the session's first
+  // plan-size ranks alone, so it measures what the same request measures
+  // on a session of exactly its size.
+  Matrix a = integer_matrix(64, 32);
+  const std::pair<core::ReduceKind, std::uint64_t> kinds[] = {
+      {core::ReduceKind::kPairwise, 2080},
+      {core::ReduceKind::kHierarchical, 1040}};
+  for (const auto& [kind, inter_words] : kinds) {
+    core::SyrkRequest req(a);
+    req.use_1d(4).with_topology(2).with_reduce(kind).with_trace();
+    core::Session larger(8);
+    core::Session exact(4);
+    const core::SyrkRun sub = core::syrk(larger, req);
+    const core::SyrkRun ref = core::syrk(exact, req);
+    EXPECT_TRUE(sub.c == ref.c);
+    EXPECT_EQ(sub.nodes, 2);
+    EXPECT_EQ(ref.nodes, 2);
+    EXPECT_EQ(sub.total_inter.critical_path_words(), inter_words);
+    EXPECT_EQ(ref.total_inter.critical_path_words(), inter_words);
+    EXPECT_EQ(sub.total.total, ref.total.total);
+    ASSERT_TRUE(sub.trace.has_value());
+    ASSERT_TRUE(ref.trace.has_value());
+    EXPECT_EQ(sub.trace->events, ref.trace->events);
+  }
+  // Six ranks on nodes of four touch two nodes, the second one half full.
+  core::Session larger(8);
+  core::SyrkRequest req(a);
+  req.use_1d(6).with_topology(4);
+  const core::SyrkRun run = core::syrk(larger, req);
+  EXPECT_EQ(run.nodes, 2);
+  EXPECT_EQ(run.total_inter.critical_path_words(), 2776u);
+  EXPECT_EQ(run.total.critical_path_words(), 1735u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <cstddef>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -95,23 +96,23 @@ TEST(Trace, PointToPointEventsAndOrdinals) {
   EXPECT_EQ(r0.ordinal, 0u);
 }
 
-TEST(Trace, CollectiveKindOutermostWins) {
-  // all_reduce is composed of reduce_scatter + all_gather internally; every
-  // traced message must still carry the outermost kind.
-  const JobTrace t = traced_job(4, [](comm::Comm& comm) {
-    auto sum = comm.all_reduce(std::vector<double>(8, 1.0));
-    ASSERT_EQ(sum.size(), 8u);
+TEST(Trace, ComposedCollectiveCarriesItsPartsKinds) {
+  // A message carries the kind of the operation that posted it: the
+  // hierarchical reduce-scatter is an intra-node reduce, a node leaders'
+  // reduce-scatter and an intra-node scatter, and its messages say so.
+  comm::World world(4);
+  world.set_topology(2);
+  world.enable_tracing();
+  world.run([](comm::Comm& comm) {
+    auto mine = comm.reduce_scatter_hier(std::vector<double>(8, 1.0),
+                                         std::vector<std::size_t>(4, 2));
+    ASSERT_EQ(mine.size(), 2u);
   });
-  ASSERT_FALSE(t.events.empty());
-  for (const TraceEvent& e : t.events) {
-    EXPECT_EQ(e.kind, OpKind::kAllReduce) << op_kind_name(e.kind);
-  }
-
-  const JobTrace g = traced_job(4, [](comm::Comm& comm) {
-    auto all = comm.all_gather(std::vector<double>{1.0});
-    ASSERT_EQ(all.size(), 4u);
-  });
-  for (const TraceEvent& e : g.events) EXPECT_EQ(e.kind, OpKind::kAllGather);
+  const JobTrace t = world.trace_sink()->drain(/*poisoned=*/false);
+  std::set<OpKind> kinds;
+  for (const TraceEvent& e : t.events) kinds.insert(e.kind);
+  EXPECT_EQ(kinds, (std::set<OpKind>{OpKind::kReduceScatter, OpKind::kReduce,
+                                     OpKind::kScatter}));
 }
 
 TEST(Trace, PhaseAttributionIsCanonical) {

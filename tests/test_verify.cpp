@@ -8,7 +8,9 @@
 // the zero-false-positive guarantee the fuzz suites extend.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/session.hpp"
@@ -258,7 +260,7 @@ TEST(VerifyClean, CollectiveMixRunsClean) {
   world.enable_verify();
   world.run([](Comm& comm) {
     std::vector<double> x(8, static_cast<double>(comm.rank()));
-    auto summed = comm.all_reduce(x);
+    auto summed = comm.all_gather(comm.reduce_scatter_equal(x));
     auto gathered = comm.all_gather(x);
     comm.barrier();
     std::vector<double> b(4, 0.0);
@@ -271,6 +273,38 @@ TEST(VerifyClean, CollectiveMixRunsClean) {
     EXPECT_DOUBLE_EQ(summed[0], 0.0 + 1.0 + 2.0 + 3.0);
     EXPECT_EQ(gathered.size(), 32u);
   });
+}
+
+TEST(VerifyClean, TierBalanceSumsOnlyTheJobsRange) {
+  // A job's end-of-job ledger balance, inter-node tier included, sums its
+  // own ranks: a message another range's job has sent and not yet received
+  // is no imbalance of this job.
+  World world(8);
+  world.enable_verify();
+  world.set_topology(2);
+  std::atomic<int> stage{0};
+  const auto wait_for = [&stage](int s) {
+    while (stage.load() < s) std::this_thread::yield();
+  };
+  comm::RangeJob other = world.launch_ranks(4, 8, [&](Comm& comm) {
+    if (comm.rank() == 0) {
+      wait_for(1);  // after `job`'s launch-time snapshot
+      comm.send(2, /*tag=*/0, std::vector<double>(3, 1.0));  // node 2 -> 3
+      stage = 2;
+    } else if (comm.rank() == 2) {
+      wait_for(3);  // after `job`'s end-of-job check
+      EXPECT_EQ(comm.recv(0, /*tag=*/0).size(), 3u);
+    }
+  });
+  comm::RangeJob job = world.launch_ranks(0, 4, [&](Comm& comm) {
+    wait_for(2);
+    if (comm.rank() == 0) comm.send(2, /*tag=*/0, std::vector<double>{1.0});
+    if (comm.rank() == 2) EXPECT_EQ(comm.recv(0, /*tag=*/0).size(), 1u);
+  });
+  stage = 1;
+  EXPECT_NO_THROW(world.join(job));
+  stage = 3;
+  EXPECT_NO_THROW(world.join(other));
 }
 
 TEST(VerifyClean, SubCommunicatorsRunClean) {

@@ -372,22 +372,39 @@ TEST(WholeWorldLaunch, MatchesWorldRunOnFoldedAndTopologyWorlds) {
   }
 }
 
-TEST(WholeWorldLaunch, PartialRangesNeedAnUnfoldedFlatWorld) {
+TEST(WholeWorldLaunch, PartialRangesNeedAnUnfoldedWorld) {
   World folded(6, 4);
-  World topology(4);
-  topology.set_topology(2);
   const auto idle = [](Comm&) {};
   EXPECT_THROW(folded.launch_ranks(0, 3, idle), InvalidArgument);
   EXPECT_THROW(folded.launch_ranks(3, 6, idle), InvalidArgument);
-  EXPECT_THROW(topology.launch_ranks(0, 2, idle), InvalidArgument);
-  EXPECT_THROW(topology.launch_ranks(2, 4, idle), InvalidArgument);
-  // The rejected launches left both worlds idle and usable.
+  // The rejected launches left the world idle and usable.
   EXPECT_EQ(folded.jobs_run(), 0u);
-  EXPECT_EQ(topology.jobs_run(), 0u);
   folded.run(idle);
-  topology.run(idle);
   EXPECT_EQ(folded.jobs_run(), 1u);
+
+  // A topology'd world takes partial ranges: the range's nodes are the
+  // world nodes its ranks sit on, and the rest of the world stays idle.
+  World topology(8);
+  topology.set_topology(2);
+  const CostLedger::Snapshot before = topology.ledger().snapshot();
+  RangeJob job = topology.launch_ranks(2, 6, [](Comm& comm) {
+    EXPECT_TRUE(comm.hier_available());
+    const std::vector<double> mine = comm.reduce_scatter_hier(
+        std::vector<double>(8, 1.0), std::vector<std::size_t>(4, 2));
+    EXPECT_EQ(mine, std::vector<double>(2, 4.0));
+  });
+  topology.join(job);
   EXPECT_EQ(topology.jobs_run(), 1u);
+  const CostSummary inter = topology.ledger().inter_summary_since(before);
+  EXPECT_EQ(inter.ranks, 4u);  // the world's nodes
+  EXPECT_GT(inter.total.words_sent, 0u);
+  const std::vector<Counters> per_rank =
+      topology.ledger().per_rank_since(before);
+  for (int r = 0; r < 8; ++r) {
+    const Counters& c = per_rank[static_cast<std::size_t>(r)];
+    EXPECT_EQ(c.words_sent + c.words_recv > 0, r >= 2 && r < 6)
+        << "rank " << r;
+  }
 }
 
 TEST(LedgerSnapshots, SinceDiffsAreExact) {
