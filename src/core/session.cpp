@@ -180,19 +180,38 @@ void launch_request(comm::World& world, const SyrkRequest& req,
 
 SyrkRun run_resolved(Session& session, const SyrkRequest& req,
                      const ResolvedRequest& resolved) {
+  const Plan& plan = resolved.plan;
   // Folded plans execute on a dedicated cached world of logical_ranks()
   // ranks folded onto plan.procs physical ranks; everything else runs on
   // the session's own world. The request's topology is stamped on the world
   // it runs on (ranks_per_node=1 restores the flat machine, so a later
   // untopology'd request on the same session world is unaffected).
-  comm::World& world = session.world_for(resolved.plan);
+  comm::World& world = session.world_for(plan);
   world.set_topology(resolved.options.ranks_per_node);
   if (req.trace) world.enable_tracing();
   if (req.verify) world.enable_verify();
   RequestJob job;
-  launch_request(world, req, resolved, /*base=*/0, job);
+  const int active_ranks = static_cast<int>(plan.logical_ranks());
+  if (active_ranks == world.size()) {
+    // Full-size plan (and every folded plan — the folded world is sized to
+    // the logical grid exactly): the launch step on the whole world.
+    launch_request(world, req, resolved, /*base=*/0, job);
+  } else {
+    job.exec = ExecBuffers(*req.a, plan);
+    job.before = world.ledger().snapshot();
+    job.handle = world.launch_ranks(0, world.size(), [&](comm::Comm& wc) {
+      const bool active = wc.rank() < active_ranks;
+      // Every rank takes part in the split (it is collective and
+      // ledger-muted, so measured volumes match a world of exactly
+      // plan.procs ranks); idle ranks then sit the job out.
+      comm::Comm sub = wc.split(active ? 0 : 1, wc.rank());
+      if (!active) return;
+      run_syrk_plan_rank(sub, job.exec.a(), plan, resolved.options,
+                         job.exec.c());
+    });
+  }
   world.join(job.handle);
-  return collect_run(world, req, resolved.plan, job);
+  return collect_run(world, req, plan, job);
 }
 
 SyrkRun collect_run(comm::World& world, const SyrkRequest& req,
@@ -212,12 +231,13 @@ SyrkRun collect_run(comm::World& world, const SyrkRequest& req,
   run.scatter_a =
       ledger.summary_since(job.before, kPhaseScatterA, rank_begin, rank_end);
   if (world.ranks_per_node() > 1) {
-    // The nodes the job's ranks touch, not the whole session world. Ranks
-    // outside the job record nothing (a topology'd job runs alone, at base
-    // 0), so the inter summary's busiest node is among the job's.
+    // Nodes the *plan* spans, not the whole session world — the request may
+    // run on an active-ranks prefix of a larger world. Idle ranks record
+    // nothing, so the inter summary's busiest node is among the active ones.
     const int rpn = world.ranks_per_node();
     run.nodes = (static_cast<int>(plan.procs) + rpn - 1) / rpn;
-    run.total_inter = ledger.inter_summary_since(job.before);
+    run.total_inter =
+        ledger.inter_summary_since(job.before, rank_begin, rank_end);
   }
   if (a.rows() >= 2) {
     run.bound = bounds::syrk_lower_bound(a.rows(), a.cols(), plan.procs);

@@ -44,8 +44,8 @@ using PlanResolver = std::function<std::shared_ptr<const PlanReport>(
     const PlanSearchOptions& options)>;
 
 /// Owns a warm world of a fixed rank count. Construct once, issue many
-/// requests; requests may use up to size() ranks (a smaller plan runs on
-/// the world's first plan-size ranks alone, and the others take no part).
+/// requests; requests may use up to size() ranks (smaller plans run on an
+/// active-ranks sub-communicator, idle ranks sit the job out).
 class Session {
  public:
   /// Leases `num_ranks` workers from the process-wide shared pool.
@@ -268,9 +268,9 @@ ResolvedRequest resolve_request(const Session& session,
                                 const SyrkRequest& req);
 
 /// One request's job: its execution-size buffers, the ledger snapshot
-/// taken at launch, and the launched job, whose rank range is the
-/// request's. The rank bodies refer to it, so it stays in place until the
-/// job completes.
+/// taken at launch, and the launched job, whose rank range collect_run
+/// reads. The rank bodies refer to it, so it stays in place until the job
+/// completes.
 struct RequestJob {
   RequestJob() = default;
   RequestJob(const RequestJob&) = delete;
@@ -281,20 +281,24 @@ struct RequestJob {
   comm::RangeJob handle;
 };
 
-/// The one launch step, behind run_resolved and the service's streamed
-/// dispatch: builds `job`'s buffers, snapshots the ledger and launches
-/// run_syrk_plan_rank on world ranks [base, base + plan.logical_ranks()),
-/// which must be idle. `resolved` must outlive the job as well.
-/// `on_complete` is World::launch_ranks's.
+/// The one launch step of a plan on ranks of its own, behind run_resolved's
+/// full-size plans and the service's streamed dispatch: builds `job`'s
+/// buffers, snapshots the ledger and launches run_syrk_plan_rank on world
+/// ranks [base, base + plan.logical_ranks()), which must be idle.
+/// `resolved` must outlive the job as well. `on_complete` is
+/// World::launch_ranks's.
 void launch_request(comm::World& world, const SyrkRequest& req,
                     const ResolvedRequest& resolved, int base, RequestJob& job,
                     std::function<void()> on_complete = {});
 
 /// Runs an already resolved request alone on the world world_for picks,
-/// stamped with the request's topology, trace and verify settings: the
-/// launch step at base 0, World::join (which recovers the world and
-/// rethrows when a rank failed), then the collect step. core::syrk after
-/// its resolve step, and the service's solo path after admission.
+/// stamped with the request's topology, trace and verify settings, then
+/// waits in World::join (which recovers the world and rethrows when a rank
+/// failed) and collects its SyrkRun. A full-size plan is the launch step at
+/// base 0; a smaller one runs as a whole-world job whose ranks split off
+/// the plan's prefix (ledger-muted), the idle ranks sitting the job out.
+/// The world must be otherwise idle. core::syrk after its resolve step, and
+/// the service's solo path after admission.
 SyrkRun run_resolved(Session& session, const SyrkRequest& req,
                      const ResolvedRequest& resolved);
 

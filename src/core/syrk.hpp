@@ -165,9 +165,9 @@ namespace internal {
 /// Alg. 1 (p1 = 1) and Alg. 2 (p2 = 1) as its corners (see
 /// core/syrk_internal.hpp), on one operand set — A for SYRK, A and B for
 /// SYR2K. `comm` has exactly p1·p2 ranks (a request's own rank range,
-/// launched by internal::launch_request, or a whole world); each rank
-/// assembles its share of the result into `c_full` via shared memory
-/// (free). The operands and `c_full` must already be at the plan's
+/// launched by internal::launch_request, or an active-ranks
+/// sub-communicator); each rank assembles its share of the result into
+/// `c_full` via shared memory (free). The operands and `c_full` must already be at the plan's
 /// execution size (plan.exec_n1 rows); padding/truncation happens in the
 /// caller (ExecBuffers). `c_full` may arrive uninitialised: the ranks
 /// together write every entry of it.

@@ -492,14 +492,13 @@ class World {
   void run(const std::function<void(Comm&)>& body);
 
   /// Waits for `job`, launched on this world, through RangeJob::wait (every
-  /// rank of the job has returned; the end-of-job check). Jobs on other
-  /// ranges may still be running. If a rank throws, the runtime is
-  /// poisoned world-wide so ranks blocked in receives or barriers unwind
-  /// with RankAborted; after every rank of the job finishes, join() resets
-  /// the runtime — which needs every other job to have finished too — so
-  /// the World and its leased workers stay usable for the next job, and
-  /// rethrows the original exception (lowest failing rank wins), or
-  /// RankAborted when ranks only aborted.
+  /// rank of the job has returned; the end-of-job check). The job must be
+  /// the only one in flight: if a rank throws, the runtime is poisoned
+  /// world-wide so ranks blocked in receives or barriers unwind with
+  /// RankAborted, and after every rank of the job finishes, join() resets
+  /// the whole runtime so the World and its leased workers stay usable for
+  /// the next job, then rethrows the original exception (lowest failing
+  /// rank wins), or RankAborted when ranks only aborted.
   void join(RangeJob& job);
 
   // ---- Streamed execution (work-conserving scheduling substrate) ----

@@ -218,9 +218,10 @@ CostSummary CostLedger::inter_summary() const {
                    /*inter=*/true);
 }
 
-CostSummary CostLedger::inter_summary_since(const Snapshot& since) const {
-  return summarize(nullptr, &since, 0, static_cast<int>(ranks_.size()),
-                   /*inter=*/true);
+CostSummary CostLedger::inter_summary_since(const Snapshot& since,
+                                            int rank_begin,
+                                            int rank_end) const {
+  return summarize(nullptr, &since, rank_begin, rank_end, /*inter=*/true);
 }
 
 CostSummary CostLedger::inter_summary_since(const Snapshot& since,

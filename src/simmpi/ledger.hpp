@@ -215,9 +215,11 @@ class CostLedger {
   // Requires a topology with ranks_per_node > 1 to have been set.
 
   CostSummary inter_summary() const;
-  CostSummary inter_summary_since(const Snapshot& since) const;
-  /// One phase of inter_summary_since over ranks [rank_begin, rank_end),
-  /// as the range variants of summary_since (verify-mode tier balance).
+  /// Inter-node traffic of ranks [rank_begin, rank_end) since `since`, in
+  /// the world's node buckets, as the range variants of summary_since.
+  CostSummary inter_summary_since(const Snapshot& since, int rank_begin,
+                                  int rank_end) const;
+  /// One phase of it (verify-mode tier balance).
   CostSummary inter_summary_since(const Snapshot& since,
                                   const std::string& phase, int rank_begin,
                                   int rank_end) const;

@@ -260,8 +260,8 @@ TEST(SyrkTopology, TopologyIsPerRequestNotSticky) {
 
 TEST(SyrkTopology, SubSessionRequestMatchesExactSession) {
   // A plan smaller than its topology'd session runs on the session's first
-  // plan-size ranks alone, so it measures what the same request measures
-  // on a session of exactly its size.
+  // plan-size ranks (the other ranks record nothing), so it measures what
+  // the same request measures on a session of exactly its size.
   Matrix a = integer_matrix(64, 32);
   const std::pair<core::ReduceKind, std::uint64_t> kinds[] = {
       {core::ReduceKind::kPairwise, 2080},

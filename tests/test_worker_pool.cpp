@@ -395,7 +395,8 @@ TEST(WholeWorldLaunch, PartialRangesNeedAnUnfoldedWorld) {
   });
   topology.join(job);
   EXPECT_EQ(topology.jobs_run(), 1u);
-  const CostSummary inter = topology.ledger().inter_summary_since(before);
+  const CostSummary inter =
+      topology.ledger().inter_summary_since(before, 2, 6);
   EXPECT_EQ(inter.ranks, 4u);  // the world's nodes
   EXPECT_GT(inter.total.words_sent, 0u);
   const std::vector<Counters> per_rank =
